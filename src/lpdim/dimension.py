@@ -148,6 +148,8 @@ def _validated_grid(windows: Sequence[int], eps: Sequence[float]):
         raise ValueError("window indices must be >= 1")
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise ValueError("window indices must be strictly ascending")
+    if not all(math.isfinite(e) for e in cuts):
+        raise ValueError("thresholds must be finite")
     if any(e <= 0.0 for e in cuts):
         raise ValueError("thresholds must be positive")
     if any(b >= a for a, b in zip(cuts, cuts[1:])):

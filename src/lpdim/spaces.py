@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -572,64 +572,93 @@ class WindowModel:
         return int(np.sum(s > s[0] * RANK_RTOL))
 
 
-def _window_row_indices(window: FiniteSubset, fiber: int, pos: Mapping[Coords, int]):
-    idx = []
-    for c in window.elements:
-        base = pos[c] * fiber
-        idx.extend(range(base, base + fiber))
-    return np.asarray(idx, dtype=int)
-
-
-def _assemble_genuine(
+def _genuine_model(
     label: str,
     window: FiniteSubset,
     p: float,
     fiber: int,
-    elements: Sequence[SupportedMap],
+    coords: Sequence[Coords],
+    full: np.ndarray,
     normalize: bool,
-    polarity: str = "inner",
 ) -> WindowModel:
-    """Stack finitely supported genuine elements into an inner/exact model."""
-    support = set(window.elements)
-    for el in elements:
-        support |= set(el.data)
-    coords = tuple(sorted(support))
+    """Inner model from the full-space columns of genuine subspace elements.
+
+    full holds fiber rows per point of coords (sorted, a superset of the
+    window).  Columns of norm at most 1e-14 are dropped, the rest are
+    normalized or checked against the unit ball, and the window rows are
+    sliced out.
+    """
+    norms = np.array([lp_norm(full[:, j], p) for j in range(full.shape[1])])
+    keep = norms > 1e-14
+    full, norms = full.compress(keep, axis=1), norms[keep]
+    if normalize:
+        full = full / norms
+        norms = np.ones(norms.size)
+    over = norms[norms > 1.0 + 1e-9]
+    if over.size:
+        raise StructureError(f"inner column exceeds the unit ball: norm {over[0]:.6g}")
     pos = {c: i for i, c in enumerate(coords)}
-    cols = []
-    norms = []
-    for el in elements:
-        v = np.zeros(len(coords) * fiber)
-        for c, vec in el.data.items():
-            v[pos[c] * fiber : pos[c] * fiber + fiber] = vec
-        nrm = lp_norm(v, p)
-        if nrm <= 1e-14:
-            continue
-        if normalize:
-            v = v / nrm
-            nrm = 1.0
-        if nrm > 1.0 + 1e-9:
-            raise StructureError(
-                f"inner column exceeds the unit ball: norm {nrm:.6g}"
-            )
-        cols.append(v)
-        norms.append(float(nrm))
-    full = (
-        np.column_stack(cols)
-        if cols
-        else np.zeros((len(coords) * fiber, 0))
-    )
-    rows = _window_row_indices(window, fiber, pos)
+    base = np.asarray([pos[c] * fiber for c in window.elements], dtype=int)
+    rows = (base[:, None] + np.arange(fiber)).ravel()
     return WindowModel(
         label=label,
         window=window,
         p=p,
         fiber_dim=fiber,
-        polarity=polarity,
+        polarity="inner",
         matrix=full[rows, :],
         full_matrix=full,
-        full_support=coords,
-        column_norms=tuple(norms),
+        full_support=tuple(coords),
+        column_norms=tuple(norms.tolist()),
     )
+
+
+def _translate_model(
+    label: str,
+    window: FiniteSubset,
+    p: float,
+    fiber: int,
+    sources: Sequence[Coords],
+    pattern: Sequence[tuple[Coords, np.ndarray]],
+    normalize: bool,
+) -> WindowModel:
+    """Inner model whose columns are translates of one block pattern.
+
+    pattern lists (offset s, block) pairs, each block of shape (fiber, slots).
+    The column for source gamma and slot v carries block[:, v] at gamma * s;
+    columns run over sources in the given order with the slot fastest.  Rows
+    cover the window plus every point where some column is nonzero.
+    """
+    grp = window.group
+    slots = pattern[0][1].shape[1]
+    targets = [[compose_coords(grp, g, s) for g in sources] for s, _ in pattern]
+    points = sorted(set(window.elements).union(*targets))
+    pos = {c: i for i, c in enumerate(points)}
+    cube = np.zeros((len(points), fiber, len(sources), slots))
+    src = np.arange(len(sources))
+    for (_, blk), tgt in zip(pattern, targets):
+        cube[np.asarray([pos[c] for c in tgt], dtype=int), :, src, :] = blk
+    live = np.any(cube != 0.0, axis=(1, 2, 3))
+    inside = window.coord_set
+    keep = [i for i, c in enumerate(points) if live[i] or c in inside]
+    full = cube[keep].reshape(len(keep) * fiber, len(sources) * slots)
+    return _genuine_model(
+        label, window, p, fiber, [points[i] for i in keep], full, normalize
+    )
+
+
+def _translate_span(label, omega, p, polarity, fiber, pattern) -> WindowModel:
+    """Every translate of the pattern that meets the window (sources omega * S^-1).
+
+    The inner model holds them as genuine elements; the outer model is the
+    span of their window restrictions.
+    """
+    grp = omega.group
+    sources = _product_coords(grp, omega.elements, [invert_coords(grp, s) for s, _ in pattern])
+    model = _translate_model(label, omega, p, fiber, sources, pattern, normalize=True)
+    if polarity == "outer":
+        return _span_enclosure(label, omega, p, fiber, model.matrix)
+    return model
 
 
 def _span_enclosure(
@@ -697,16 +726,10 @@ def _conv_constraint_matrix(
 def _conv_kernel_inner(spec: ConvKernel, omega, p) -> WindowModel:
     h = spec.kernel
     rows = _product_coords(h.group, omega.elements, [c for c, _ in h.blocks])
-    mat = _conv_constraint_matrix(h, rows, omega)
-    basis = _null_space(mat)
-    elements = []
-    d = h.dim_in
-    for j in range(basis.shape[1]):
-        data = {}
-        for i, c in enumerate(omega.elements):
-            data[c] = basis[i * d : (i + 1) * d, j]
-        elements.append(SupportedMap(h.group, d, data))
-    return _assemble_genuine(spec.describe(), omega, p, d, elements, normalize=True)
+    basis = _null_space(_conv_constraint_matrix(h, rows, omega))
+    return _genuine_model(
+        spec.describe(), omega, p, h.dim_in, omega.elements, basis, normalize=True
+    )
 
 
 def _conv_kernel_outer(spec: ConvKernel, omega, p) -> WindowModel:
@@ -722,74 +745,13 @@ def _conv_kernel_outer(spec: ConvKernel, omega, p) -> WindowModel:
     return _span_enclosure(spec.describe(), omega, p, h.dim_in, _null_space(mat))
 
 
-def _conv_image_elements(h: ConvolutionKernel, omega) -> list[SupportedMap]:
-    inv = [invert_coords(h.group, c) for c, _ in h.blocks]
-    sources = _product_coords(h.group, omega.elements, inv)
-    out = []
-    for gamma in sources:
-        for v in range(h.dim_in):
-            el = convolve(h, SupportedMap.delta(h.group, gamma, h.dim_in, v))
-            if el.data:
-                out.append(el)
-    return out
-
-
-def _conv_image_inner(spec: ConvImage, omega, p) -> WindowModel:
-    return _assemble_genuine(
-        spec.describe(),
-        omega,
-        p,
-        spec.kernel.dim_out,
-        _conv_image_elements(spec.kernel, omega),
-        normalize=True,
-    )
-
-
-def _conv_image_outer(spec: ConvImage, omega, p) -> WindowModel:
-    inner = _conv_image_inner(spec, omega, p)
-    return _span_enclosure(spec.describe(), omega, p, spec.kernel.dim_out, inner.matrix)
-
-
-def _cyclic_elements(spec: CyclicTranslates, omega, p, centers) -> list[SupportedMap]:
+def _unit_generator(spec: CyclicTranslates, p) -> list[tuple[Coords, np.ndarray]]:
+    """The generator scaled to unit p-norm, as a one-slot block pattern."""
     nrm = spec.generator.norm(p)
     if nrm <= 0.0:
         raise StructureError("cyclic generator is zero")
-    unit = spec.generator.scaled(1.0 / nrm)
-    return [unit.translated(g) for g in centers]
-
-
-def _cyclic_inner(spec: CyclicTranslates, omega, p) -> WindowModel:
-    from .tiling import greedy_pack
-
-    centers = greedy_pack(omega, spec.core).centers
-    elements = _cyclic_elements(spec, omega, p, centers.elements)
-    return _assemble_genuine(
-        spec.describe(), omega, p, spec.fiber_dim, elements, normalize=True
-    )
-
-
-def _cyclic_outer(spec: CyclicTranslates, omega, p) -> WindowModel:
-    nrm = spec.generator.norm(p)
-    if nrm <= 0.0:
-        raise StructureError("cyclic generator is zero")
-    unit = spec.generator.scaled(1.0 / nrm)
-    inv_support = [invert_coords(spec.group, c) for c in unit.data]
-    sources = _product_coords(spec.group, omega.elements, inv_support)
-    elements = [unit.translated(g) for g in sources]
-    probe = _assemble_genuine(
-        spec.describe(), omega, p, spec.fiber_dim, elements, normalize=True
-    )
-    return _span_enclosure(spec.describe(), omega, p, spec.fiber_dim, probe.matrix)
-
-
-def _ker_periodization_inner(spec: KerPeriodization, omega, p) -> WindowModel:
-    n = spec.period
-    elements = []
-    for (k,) in omega.elements:
-        elements.append(
-            SupportedMap(_Z, 1, {(k,): [0.5], (k + n,): [-0.5]})
-        )
-    return _assemble_genuine(spec.describe(), omega, p, 1, elements, normalize=False)
+    scale = 1.0 / nrm
+    return [(c, (scale * v)[:, None]) for c, v in spec.generator.data.items()]
 
 
 def _periodic_infty_model(spec: PeriodicInfty, omega, p) -> WindowModel:
@@ -874,7 +836,7 @@ def _expanded_window(omega: FiniteSubset, d: int) -> FiniteSubset:
     return FiniteSubset(_Z, coords)
 
 
-def _reduced_view(spec: Reduced, omega, p, builder) -> WindowModel:
+def _reduced_view(spec: Reduced, omega, p, polarity) -> WindowModel:
     """Reindex a base model over the expanded window into d-fold fibers.
 
     Sorting integers c and sorting pairs (c div d, c mod d) agree, so the row
@@ -882,7 +844,7 @@ def _reduced_view(spec: Reduced, omega, p, builder) -> WindowModel:
     the arrays transfer without any permutation.
     """
     d = spec.index
-    base_model = builder(spec.base, _expanded_window(omega, d), p)
+    base_model = _window_model(spec.base, _expanded_window(omega, d), p, polarity)
     fb = spec.base.fiber_dim
     fiber = fb * d
     full = base_model.full_matrix
@@ -893,10 +855,10 @@ def _reduced_view(spec: Reduced, omega, p, builder) -> WindowModel:
         padded_coords = tuple((t * d + g,) for t in t_vals for g in range(d))
         if padded_coords != base_model.full_support:
             pos = {c: i for i, c in enumerate(padded_coords)}
-            padded = np.zeros((len(padded_coords) * fb, full.shape[1]))
-            for i, c in enumerate(base_model.full_support):
-                j = pos[c]
-                padded[j * fb : (j + 1) * fb, :] = full[i * fb : (i + 1) * fb, :]
+            rows = [pos[c] for c in base_model.full_support]
+            k = full.shape[1]
+            padded = np.zeros((len(padded_coords) * fb, k))
+            padded.reshape(len(padded_coords), fb, k)[rows] = full.reshape(len(rows), fb, k)
             full = padded
         support = tuple((t,) for t in t_vals)
     return WindowModel(
@@ -912,7 +874,7 @@ def _reduced_view(spec: Reduced, omega, p, builder) -> WindowModel:
     )
 
 
-def _induced_view(spec: Induced, omega, p, builder) -> WindowModel:
+def _induced_view(spec: Induced, omega, p, polarity) -> WindowModel:
     """Embed per-residue slice models into the interleaved window."""
     d = spec.index
     fb = spec.base.fiber_dim
@@ -922,41 +884,38 @@ def _induced_view(spec: Induced, omega, p, builder) -> WindowModel:
     parts = []
     for g in sorted(slices):
         sub_window = FiniteSubset(_Z, tuple((t,) for t in sorted(slices[g])))
-        parts.append((g, builder(spec.base, sub_window, p)))
+        parts.append((g, _window_model(spec.base, sub_window, p, polarity)))
 
     size = len(omega)
     win_pos = omega.positions
     total_cols = sum(m.num_columns for _, m in parts)
     mat = np.zeros((size * fb, total_cols))
-    polarity = "exact"
+    mat3 = mat.reshape(size, fb, total_cols)
+    combined = "exact"
     col0 = 0
-    emb_supports = []
     for g, m in parts:
-        polarity = _combine_polarity(polarity, m.polarity)
+        combined = _combine_polarity(combined, m.polarity)
         k = m.num_columns
-        for i, (t,) in enumerate(m.window.elements):
-            r = win_pos[(t * d + g,)]
-            mat[r * fb : (r + 1) * fb, col0 : col0 + k] = m.matrix[
-                i * fb : (i + 1) * fb, :
-            ]
+        rows = [win_pos[(t * d + g,)] for (t,) in m.window.elements]
+        mat3[rows, :, col0 : col0 + k] = m.matrix.reshape(len(rows), fb, k)
         col0 += k
-    if polarity == "outer":
+    if combined == "outer":
         return _span_enclosure(spec.describe(), omega, p, fb, mat)
 
+    emb_supports = []
     for g, m in parts:
         fs = m.full_support if m.full_support is not None else m.window.elements
         emb_supports.append([(t * d + g,) for (t,) in fs])
     coords = tuple(sorted(set(omega.elements).union(*emb_supports)))
     pos = {c: i for i, c in enumerate(coords)}
     full = np.zeros((len(coords) * fb, total_cols))
+    full3 = full.reshape(len(coords), fb, total_cols)
     col0 = 0
     norms: list[float] = []
     for (g, m), emb in zip(parts, emb_supports):
         fm = m.full_matrix if m.full_matrix is not None else m.matrix
         k = m.num_columns
-        for i, c in enumerate(emb):
-            j = pos[c]
-            full[j * fb : (j + 1) * fb, col0 : col0 + k] = fm[i * fb : (i + 1) * fb, :]
+        full3[[pos[c] for c in emb], :, col0 : col0 + k] = fm.reshape(len(emb), fb, k)
         norms.extend(m.column_norms or (1.0,) * k)
         col0 += k
     return WindowModel(
@@ -964,7 +923,7 @@ def _induced_view(spec: Induced, omega, p, builder) -> WindowModel:
         window=omega,
         p=p,
         fiber_dim=fb,
-        polarity=polarity,
+        polarity=combined,
         matrix=mat,
         full_matrix=full,
         full_support=coords,
@@ -979,68 +938,63 @@ def _check_window(spec: SubspaceSpec, omega: FiniteSubset):
         raise StructureError("window and subspace live over different groups")
 
 
-def inner_window_model(spec: SubspaceSpec, omega: FiniteSubset, p: float) -> WindowModel:
-    """Certified-from-inside surrogate of the restricted unit ball."""
-    check_exponent(p)
-    _check_window(spec, omega)
+def _window_model(spec: SubspaceSpec, omega: FiniteSubset, p: float, polarity: str) -> WindowModel:
+    """The inner or outer model of spec on omega; exact models serve both."""
+    label = spec.describe()
     if isinstance(spec, Full):
-        return _full_model(spec.describe(), omega, p, spec.dim_v)
+        return _full_model(label, omega, p, spec.dim_v)
     if isinstance(spec, Zero):
-        return _zero_model(spec.describe(), omega, p, spec.dim_v)
+        return _zero_model(label, omega, p, spec.dim_v)
     if isinstance(spec, PeriodicInfty):
         return _periodic_infty_model(spec, omega, p)
     if isinstance(spec, UnionPeriodic):
         if p == math.inf:
-            return _full_model(spec.describe(), omega, p, 1)
-        return _zero_model(spec.describe(), omega, p, 1)
+            return _full_model(label, omega, p, 1)
+        return _zero_model(label, omega, p, 1)
     if isinstance(spec, KerPeriodization):
-        return _ker_periodization_inner(spec, omega, p)
+        if polarity == "outer":
+            return _span_enclosure(label, omega, p, 1, np.eye(len(omega)))
+        pattern = [((0,), np.array([[0.5]])), ((spec.period,), np.array([[-0.5]]))]
+        return _translate_model(label, omega, p, 1, omega.elements, pattern, normalize=False)
     if isinstance(spec, ConvKernel):
+        if polarity == "outer":
+            return _conv_kernel_outer(spec, omega, p)
         return _conv_kernel_inner(spec, omega, p)
     if isinstance(spec, ConvImage):
-        return _conv_image_inner(spec, omega, p)
+        return _translate_span(label, omega, p, polarity, spec.fiber_dim, spec.kernel.blocks)
     if isinstance(spec, CyclicTranslates):
-        return _cyclic_inner(spec, omega, p)
+        unit = _unit_generator(spec, p)
+        if polarity == "outer":
+            return _translate_span(label, omega, p, polarity, spec.fiber_dim, unit)
+        from .tiling import greedy_pack
+
+        centers = greedy_pack(omega, spec.core).centers.elements
+        return _translate_model(label, omega, p, spec.fiber_dim, centers, unit, normalize=True)
     if isinstance(spec, DirectSum):
-        ml = inner_window_model(spec.left, omega, p)
-        mr = inner_window_model(spec.right, omega, p)
-        return _direct_sum_models(spec.describe(), omega, p, ml, mr)
+        ml = _window_model(spec.left, omega, p, polarity)
+        mr = _window_model(spec.right, omega, p, polarity)
+        return _direct_sum_models(label, omega, p, ml, mr)
     if isinstance(spec, Annihilator):
-        return inner_window_model(annihilator_spec(spec.base), omega, p)
+        return _window_model(annihilator_spec(spec.base), omega, p, polarity)
     if isinstance(spec, Reduced):
-        return _reduced_view(spec, omega, p, inner_window_model)
+        return _reduced_view(spec, omega, p, polarity)
     if isinstance(spec, Induced):
-        return _induced_view(spec, omega, p, inner_window_model)
-    raise CapabilityError(f"no inner model for {spec!r}")
+        return _induced_view(spec, omega, p, polarity)
+    raise CapabilityError(f"no {polarity} model for {spec!r}")
+
+
+def inner_window_model(spec: SubspaceSpec, omega: FiniteSubset, p: float) -> WindowModel:
+    """Certified-from-inside surrogate of the restricted unit ball."""
+    check_exponent(p)
+    _check_window(spec, omega)
+    return _window_model(spec, omega, p, "inner")
 
 
 def outer_window_model(spec: SubspaceSpec, omega: FiniteSubset, p: float) -> WindowModel:
     """Certified-from-outside enclosure of the restricted unit ball."""
     check_exponent(p)
     _check_window(spec, omega)
-    if isinstance(spec, (Full, Zero, PeriodicInfty, UnionPeriodic)):
-        return inner_window_model(spec, omega, p)  # these are exact both ways
-    if isinstance(spec, KerPeriodization):
-        return _span_enclosure(
-            spec.describe(), omega, p, 1, np.eye(len(omega))
-        )
-    if isinstance(spec, ConvKernel):
-        return _conv_kernel_outer(spec, omega, p)
-    if isinstance(spec, ConvImage):
-        return _conv_image_outer(spec, omega, p)
-    if isinstance(spec, CyclicTranslates):
-        return _cyclic_outer(spec, omega, p)
-    if isinstance(spec, DirectSum):
-        ml = outer_window_model(spec.left, omega, p)
-        mr = outer_window_model(spec.right, omega, p)
-        return _direct_sum_models(spec.describe(), omega, p, ml, mr)
-    if isinstance(spec, Annihilator):
-        return outer_window_model(annihilator_spec(spec.base), omega, p)
-    if isinstance(spec, Reduced):
-        return _reduced_view(spec, omega, p, outer_window_model)
-    if isinstance(spec, Induced):
-        return _induced_view(spec, omega, p, outer_window_model)
-    raise CapabilityError(f"no outer model for {spec!r}")
+    return _window_model(spec, omega, p, "outer")
 
 
 # ------------------------------------------------------------ Fourier oracle

@@ -6,6 +6,10 @@ underneath the suite.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +127,10 @@ def test_bad_grid_exits_2(capsys):
     code = cli.main(["run", "--scenario", "full", "--windows", "8,4", "--eps", "0.5"])
     assert code == 2
     assert "ascending" in capsys.readouterr().err
+    for eps in ("nan", "inf", "0.5,nan"):
+        code = cli.main(["run", "--scenario", "full", "--windows", "2", "--eps", eps])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
 
 
 def test_missing_subcommand_prints_help(capsys):
@@ -137,6 +145,20 @@ def test_list_scenarios_json(capsys):
     assert len(names) >= 11
     assert names == sorted(names)
     assert {"name", "summary", "p", "windows", "eps"} <= set(payload[0])
+
+
+def test_module_entry_point_lists_scenarios():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lpdim.cli", "list-scenarios"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "conv_image" in proc.stdout
 
 
 def test_config_defaults_and_flag_override(tmp_path, capsys):

@@ -255,6 +255,11 @@ def test_estimate_grid_validation():
         estimate_dimension(spec, 2.0, [0, 4], [0.5])
     with pytest.raises(ValueError):
         estimate_dimension(spec, 2.0, [4], [0.5, -0.1])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            estimate_dimension(spec, 2.0, [4], [bad])
+        with pytest.raises(ValueError):
+            estimate_dimension(spec, 2.0, [4], [0.5, bad])
     with pytest.raises(ValueError):
         estimate_dimension(spec, 0.5, [4], [0.5])
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpdim._util import rng_for
+from lpdim._util import lp_norm, rng_for
 from lpdim.errors import CapabilityError, StructureError
 from lpdim.groups import FiniteSubset, GroupSpec
 from lpdim.spaces import (
@@ -35,6 +35,7 @@ from lpdim.spaces import (
     pairing,
     reduce_spec,
 )
+from lpdim.tiling import greedy_pack
 
 Z = GroupSpec.integer_lattice(1)
 C6 = GroupSpec.cyclic(6)
@@ -317,6 +318,74 @@ def test_conv_image_inner_columns_are_normalized_translates():
     expected[pos[(2,)]] = 1.0 / math.sqrt(2.0)
     expected[pos[(3,)]] = -1.0 / math.sqrt(2.0)
     assert np.allclose(col, expected) or np.allclose(col, -expected)
+
+
+def _reference_elements(spec, omega, p):
+    """Inner-model columns rebuilt as SupportedMaps, and whether they are normalized."""
+    grp = spec.group
+    if isinstance(spec, ConvImage):
+        h = spec.kernel
+        sources = sorted(
+            {grp.reduce(a - b for a, b in zip(w, s)) for w in omega for s, _ in h.blocks}
+        )
+        elements = [
+            convolve(h, SupportedMap.delta(grp, g, h.dim_in, v))
+            for g in sources
+            for v in range(h.dim_in)
+        ]
+        return [el for el in elements if el.data], True
+    if isinstance(spec, CyclicTranslates):
+        unit = spec.generator.scaled(1.0 / spec.generator.norm(p))
+        return [unit.translated(g) for g in greedy_pack(omega, spec.core).centers], True
+    n = spec.period
+    return [SupportedMap(Z, 1, {k: [0.5], k + n: [-0.5]}) for (k,) in omega], False
+
+
+def test_inner_translate_columns_match_supported_map_reference():
+    zc3 = GroupSpec((0, 3))
+    z2 = GroupSpec.integer_lattice(2)
+    zero_slot = ConvolutionKernel.of(Z, {0: [[1.0, 0.0]], 2: [[-0.5, 0.0]]})
+    cases = [
+        (ConvImage(ConvolutionKernel.scalar(C6, {0: 1.0, 1: -0.5, 5: 0.25})),
+         FiniteSubset.of(C6, range(6))),
+        (ConvImage(ConvolutionKernel.scalar(C6, {0: 1.0, 2: -1.0})), FiniteSubset.of(C6, [0, 1, 5])),
+        (ConvImage(ConvolutionKernel.of(zc3, {(0, 0): [[1.0, 0.0]], (1, 2): [[0.0, 2.0]]})),
+         FiniteSubset.of(zc3, [(t, g) for t in range(3) for g in range(3)])),
+        (ConvImage(ConvolutionKernel.scalar(z2, {(0, 0): 1.0, (1, 0): -1.0, (0, 1): 0.5})),
+         FiniteSubset.of(z2, [(0, 0), (0, 2), (1, 1), (3, -1), (-1, 0)])),
+        (ConvImage(zero_slot), interval(-4, 5)),
+        (ConvImage(ConvolutionKernel.of(zc3, {(0, 0): [[0.0, 1.0]], (0, 1): [[0.0, -1.0]]})),
+         FiniteSubset.of(zc3, [(0, 0), (0, 2), (2, 1)])),
+        (CyclicTranslates(SupportedMap(C6, 1, {0: 1.0, 1: 0.5, 5: -0.25}),
+                          FiniteSubset.of(C6, [0, 1]), 0.2), FiniteSubset.of(C6, range(6))),
+        (CyclicTranslates(SupportedMap(zc3, 2, {(0, 0): [1.0, 0.0], (1, 2): [0.5, -0.5]}),
+                          FiniteSubset.of(zc3, [(0, 0)]), 0.2),
+         FiniteSubset.of(zc3, [(t, g) for t in range(3) for g in range(3)])),
+        (CyclicTranslates(SupportedMap(z2, 1, {(0, 0): 1.0, (1, 0): 0.5, (0, 1): 0.25}),
+                          FiniteSubset.of(z2, [(0, 0), (1, 0)]), 0.2),
+         FiniteSubset.of(z2, [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (3, -1)])),
+        (CyclicTranslates(SupportedMap(Z, 1, {0: [0.6], 1: [0.8]}), FiniteSubset.of(Z, [0]), 0.0),
+         interval(-3, 4)),
+        (KerPeriodization(3), interval(-4, 5)),
+        (KerPeriodization(2), FiniteSubset.of(Z, [-5, 0, 1, 4, 9])),
+    ]
+    for spec, omega in cases:
+        f = spec.fiber_dim
+        for p in (1.0, 2.0, 3.0):
+            model = inner_window_model(spec, omega, p)
+            elements, normalize = _reference_elements(spec, omega, p)
+            assert elements, spec.describe()
+            support = tuple(sorted(set(omega.elements).union(*(el.data for el in elements))))
+            assert model.full_support == support, spec.describe()
+            cols = [np.concatenate([el.value(c) for c in support]) for el in elements]
+            norms = [lp_norm(v, p) for v in cols]
+            if normalize:
+                cols = [v / nrm for v, nrm in zip(cols, norms)]
+                norms = [1.0] * len(cols)
+            assert np.array_equal(model.full_matrix, np.column_stack(cols)), spec.describe()
+            assert model.column_norms == tuple(norms)
+            rows = [support.index(c) * f + k for c in omega for k in range(f)]
+            assert np.array_equal(model.matrix, model.full_matrix[rows])
 
 
 def test_inner_spans_sit_inside_outer_spans():
