@@ -19,7 +19,13 @@ from .dimension import (
     estimate_dimension,
     positivity_bound,
 )
-from .errors import CapabilityError, SolverFailure, StructureError, TailBoundError
+from .errors import (
+    CapabilityError,
+    CertificateInversion,
+    SolverFailure,
+    StructureError,
+    TailBoundError,
+)
 from .groups import FiniteSubset, GroupElement, GroupSpec, folner_window, parse_group
 from .scenarios import REGISTRY, Scenario, get_scenario, scenario_names
 from .spaces import (

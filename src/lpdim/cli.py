@@ -3,12 +3,13 @@
 Three subcommands.  `run` estimates a scenario's dimension grid and writes a
 JSON summary and/or a CSV table.  `verify` executes the property suite and
 exits nonzero when any check fails.  `list-scenarios` prints the registry.
-Outputs are deterministic for a fixed (config, seed): grids are assembled
-keyed by window, JSON is dumped with sorted keys, and the worker count only
-changes wall time, never bytes.
+Outputs are deterministic for a fixed config (and, for `verify`, seed):
+grids are assembled keyed by window, JSON is dumped with sorted keys, and
+the worker count only changes wall time, never bytes.
 
 Exit codes: 0 success, 1 failed property check, 2 usage or structural
-errors, 3 missing capability, 4 numeric solver or tail-bound failure.
+errors, 3 missing capability, 4 numeric failure (solver, tail bound,
+certificate inversion or linear algebra).
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ._util import format_p, parse_p
 from .dimension import D_and_N, estimate_dimension
-from .errors import CapabilityError, SolverFailure, TailBoundError
+from .errors import CapabilityError, CertificateInversion, SolverFailure, TailBoundError
 from .groups import folner_window
 from .scenarios import REGISTRY, scenario_names
 from .suite import property_suite
@@ -110,20 +113,19 @@ def _cmd_run(args) -> int:
         raise UsageError(f"unknown scenario {name!r}; known: {', '.join(scenario_names())}")
     sc = REGISTRY[name]
     p = parse_p(args.p) if args.p is not None else parse_p(config.get("p", sc.p))
-    windows = _parse_ints(args.windows) if args.windows else [int(w) for w in config.get("windows", sc.windows)]
+    windows = _parse_ints(args.windows) if args.windows else config.get("windows", sc.windows)
     eps = _parse_floats(args.eps) if args.eps else [float(e) for e in config.get("eps", sc.eps)]
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     jobs = _resolve_jobs(args.jobs, config)
 
     spec = sc.build()
-    est = estimate_dimension(spec, p, windows, eps, seed=seed, jobs=jobs)
+    est = estimate_dimension(spec, p, windows, eps, jobs=jobs)
     diagnostics: dict = {"monotone_in_eps": est.monotone_in_eps}
     diag_cfg = config.get("diagnostics", {})
     if diag_cfg.get("dn"):
         # the projection solve runs on the smallest window; settings may be
         # overridden from the config to stress or relax the solver
         settings = SolverSettings(**diag_cfg.get("dn_settings", {}))
-        res = D_and_N(spec, p, folner_window(spec.group, min(windows)), settings)
+        res = D_and_N(spec, p, folner_window(spec.group, min(est.window_indices)), settings)
         diagnostics["projection"] = {
             "d": res.d_value,
             "n": res.n_value,
@@ -141,7 +143,7 @@ def _cmd_run(args) -> int:
     }
     print(
         f"{name}: p={format_p(p)} bracket [{est.corner_lo:.6g}, {est.corner_hi:.6g}]"
-        f" at window {windows[-1]}, eps {eps[-1]:g}"
+        f" at window {est.window_indices[-1]}, eps {eps[-1]:g}"
     )
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -200,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--p", help="exponent, e.g. 2, 1.5, inf")
     run.add_argument("--windows", help="comma-separated ascending window indices")
     run.add_argument("--eps", help="comma-separated descending thresholds")
-    run.add_argument("--seed", type=int, help="report seed (default 0)")
     run.add_argument("--jobs", type=int, help="worker threads for window columns")
     run.add_argument("--out", help="write the JSON summary here")
     run.add_argument("--csv", help="write the grid table here")
@@ -234,7 +235,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapabilityError as err:
         print(f"capability: {err}", file=sys.stderr)
         return EXIT_CAPABILITY
-    except (SolverFailure, TailBoundError) as err:
+    except (SolverFailure, TailBoundError, CertificateInversion, np.linalg.LinAlgError) as err:
         print(f"numeric: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except (UsageError, ValueError) as err:

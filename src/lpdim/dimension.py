@@ -35,7 +35,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._util import check_exponent, conjugate_exponent, format_p, lp_norm
-from .errors import CapabilityError, SolverFailure, StructureError, TailBoundError
+from .errors import (
+    CapabilityError,
+    CertificateInversion,
+    SolverFailure,
+    StructureError,
+    TailBoundError,
+)
 from .groups import FiniteSubset, folner_window
 from .spaces import (
     CyclicTranslates,
@@ -139,8 +145,20 @@ class DimensionEstimate:
         }
 
 
+def _window_index(value) -> int:
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not x.is_integer():
+        raise ValueError(f"window indices must be finite integers, got {value!r}")
+    return int(x)
+
+
 def _validated_grid(windows: Sequence[int], eps: Sequence[float]):
-    idx = [int(i) for i in windows]
+    idx = [_window_index(i) for i in windows]
     cuts = [float(e) for e in eps]
     if not idx or not cuts:
         raise ValueError("need at least one window index and one threshold")
@@ -162,7 +180,6 @@ def estimate_dimension(
     p: float,
     windows: Sequence[int],
     eps: Sequence[float],
-    seed: int = 0,
     jobs: int = 1,
 ) -> DimensionEstimate:
     """Certified bracket grid for the normalized dimension at exponent p.
@@ -172,13 +189,12 @@ def estimate_dimension(
     finest.  Each window column shares one inner and one outer model, so
     the grid costs one factorization per window, not per cell.  Window
     columns are independent and run on up to jobs worker threads; assembly
-    is keyed by window index, so the result does not depend on jobs.  seed
-    is accepted for interface uniformity across the reporting layer; the
-    grid itself is deterministic.
+    is keyed by window index, so the result does not depend on jobs.
+    Raises CertificateInversion when a cell's lower count exceeds its
+    upper count.
     """
     check_exponent(p)
     idx, cuts = _validated_grid(windows, eps)
-    del seed
     workers = max(1, int(jobs))
     fiber = spec.fiber_dim
 
@@ -192,7 +208,7 @@ def estimate_dimension(
             lo = bracket_counts(prof_in, e)[0]
             hi = min(bracket_counts(prof_out, e)[1], size * fiber)
             if lo > hi:
-                raise RuntimeError(
+                raise CertificateInversion(
                     f"certificate inversion at window {i}, eps {e}: lo {lo} > hi {hi}"
                 )
             out.append(GridCell(i, size, e, lo, hi))
@@ -228,7 +244,6 @@ def dual_dimension(
     p: float,
     windows: Sequence[int],
     eps: Sequence[float],
-    seed: int = 0,
     jobs: int = 1,
 ) -> DimensionEstimate:
     """Estimate through the annihilator at the conjugate exponent.
@@ -244,7 +259,7 @@ def dual_dimension(
     if p == math.inf:
         raise CapabilityError("dual estimates pair a finite exponent with its conjugate")
     q = conjugate_exponent(p)
-    primal = estimate_dimension(annihilator_spec(spec), q, windows, eps, seed=seed, jobs=jobs)
+    primal = estimate_dimension(annihilator_spec(spec), q, windows, eps, jobs=jobs)
     flipped = tuple(
         GridCell(
             c.window_index,

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The command line maps these onto exit codes: usage and structural problems
-exit 2, missing capabilities exit 3, numeric solver failures exit 4.
+exit 2, missing capabilities exit 3, numeric failures (solver, tail bound,
+certificate inversion, linear algebra) exit 4.
 """
 
 
@@ -32,3 +33,11 @@ class SolverFailure(RuntimeError):
         super().__init__(f"{message} (residual {residual:.3e} after {iterations} iterations)")
         self.residual = residual
         self.iterations = iterations
+
+
+class CertificateInversion(RuntimeError):
+    """A grid cell's certified lower count exceeds its certified upper count.
+
+    The inner and outer models disagree beyond what their certificates
+    allow, so neither end of the bracket can be reported.
+    """

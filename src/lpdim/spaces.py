@@ -784,151 +784,51 @@ def _zero_model(label, omega, p, fiber) -> WindowModel:
     return _exact_ball(label, omega, p, fiber, empty, empty, omega.elements, ())
 
 
-def _combine_polarity(a: str, b: str) -> str:
-    if "outer" in (a, b):
-        return "outer"
-    if "inner" in (a, b):
-        return "inner"
-    return "exact"
+def _placed_model(label, omega, p, fiber, parts) -> WindowModel:
+    """Stack part models into the rows of a composite model on omega.
 
+    parts lists (model, place) pairs; place maps a coordinate of the part to
+    (composite point, first fiber slot), and the part's fiber slots follow on
+    from that slot.  Columns run over the parts in the given order.  The
+    composite is outer if any part is, else inner if any part is, else exact;
+    inner and exact composites also stack the full matrices, over the window
+    plus every placed full-support point, and concatenate the column norms.
+    """
+    models = [m for m, _ in parts]
+    edges = np.cumsum([0] + [m.num_columns for m in models])
 
-def _direct_sum_models(label, omega, p, ma: WindowModel, mb: WindowModel) -> WindowModel:
-    fa, fb = ma.fiber_dim, mb.fiber_dim
-    fiber = fa + fb
-    size = len(omega)
-    ka, kb = ma.num_columns, mb.num_columns
-    mat = np.zeros((size * fiber, ka + kb))
-    mat3 = mat.reshape(size, fiber, ka + kb)
-    mat3[:, :fa, :ka] = ma.matrix.reshape(size, fa, ka)
-    mat3[:, fa:, ka:] = mb.matrix.reshape(size, fb, kb)
-    polarity = _combine_polarity(ma.polarity, mb.polarity)
-    if polarity == "outer":
-        return _span_enclosure(label, omega, p, fiber, mat)
+    def stacked(points, placed, mats) -> np.ndarray:
+        pos = {c: i for i, c in enumerate(points)}
+        out = np.zeros((len(points) * fiber, edges[-1]))
+        for j, (m, where, mat) in enumerate(zip(models, placed, mats)):
+            first = np.asarray([pos[c] * fiber + slot for c, slot in where], dtype=int)
+            rows = (first[:, None] + np.arange(m.fiber_dim)).ravel()
+            out[rows, edges[j] : edges[j + 1]] = mat
+        return out
 
-    fam = ma.full_matrix if ma.full_matrix is not None else ma.matrix
-    fsa = ma.full_support if ma.full_support is not None else omega.elements
-    fbm = mb.full_matrix if mb.full_matrix is not None else mb.matrix
-    fsb = mb.full_support if mb.full_support is not None else omega.elements
-    coords = tuple(sorted(set(fsa) | set(fsb)))
-    pos = {c: i for i, c in enumerate(coords)}
-    full = np.zeros((len(coords) * fiber, ka + kb))
-    full3 = full.reshape(len(coords), fiber, ka + kb)
-    ra = np.asarray([pos[c] for c in fsa], dtype=int)
-    rb = np.asarray([pos[c] for c in fsb], dtype=int)
-    full3[ra, :fa, :ka] = fam.reshape(len(fsa), fa, ka)
-    full3[rb, fa:, ka:] = fbm.reshape(len(fsb), fb, kb)
-    norms = tuple(ma.column_norms or ()) + tuple(mb.column_norms or ())
+    polarities = {m.polarity for m in models}
+    in_window = [list(map(place, m.window.elements)) for m, place in parts]
+    matrix = stacked(omega.elements, in_window, [m.matrix for m in models])
+    if "outer" in polarities:
+        return _span_enclosure(label, omega, p, fiber, matrix)
+    placed = [list(map(place, m.full_support)) for m, place in parts]
+    support = tuple(sorted(set(omega.elements).union(*([c for c, _ in w] for w in placed))))
     return WindowModel(
         label=label,
         window=omega,
         p=p,
         fiber_dim=fiber,
-        polarity=polarity,
-        matrix=mat,
-        full_matrix=full,
-        full_support=coords,
-        column_norms=norms,
+        polarity="inner" if "inner" in polarities else "exact",
+        matrix=matrix,
+        full_matrix=stacked(support, placed, [m.full_matrix for m in models]),
+        full_support=support,
+        column_norms=sum((m.column_norms for m in models), ()),
     )
 
 
 def _expanded_window(omega: FiniteSubset, d: int) -> FiniteSubset:
     coords = tuple((t * d + g,) for (t,) in omega.elements for g in range(d))
     return FiniteSubset(_Z, coords)
-
-
-def _reduced_view(spec: Reduced, omega, p, polarity) -> WindowModel:
-    """Reindex a base model over the expanded window into d-fold fibers.
-
-    Sorting integers c and sorting pairs (c div d, c mod d) agree, so the row
-    order of the base model already matches the reduced canonical order and
-    the arrays transfer without any permutation.
-    """
-    d = spec.index
-    base_model = _window_model(spec.base, _expanded_window(omega, d), p, polarity)
-    fb = spec.base.fiber_dim
-    fiber = fb * d
-    full = base_model.full_matrix
-    support = None
-    if full is not None:
-        assert base_model.full_support is not None
-        t_vals = sorted({c[0] // d for c in base_model.full_support})
-        padded_coords = tuple((t * d + g,) for t in t_vals for g in range(d))
-        if padded_coords != base_model.full_support:
-            pos = {c: i for i, c in enumerate(padded_coords)}
-            rows = [pos[c] for c in base_model.full_support]
-            k = full.shape[1]
-            padded = np.zeros((len(padded_coords) * fb, k))
-            padded.reshape(len(padded_coords), fb, k)[rows] = full.reshape(len(rows), fb, k)
-            full = padded
-        support = tuple((t,) for t in t_vals)
-    return WindowModel(
-        label=spec.describe(),
-        window=omega,
-        p=p,
-        fiber_dim=fiber,
-        polarity=base_model.polarity,
-        matrix=base_model.matrix,
-        full_matrix=full,
-        full_support=support,
-        column_norms=base_model.column_norms,
-    )
-
-
-def _induced_view(spec: Induced, omega, p, polarity) -> WindowModel:
-    """Embed per-residue slice models into the interleaved window."""
-    d = spec.index
-    fb = spec.base.fiber_dim
-    slices = {}
-    for (c,) in omega.elements:
-        slices.setdefault(c % d, []).append(c // d)
-    parts = []
-    for g in sorted(slices):
-        sub_window = FiniteSubset(_Z, tuple((t,) for t in sorted(slices[g])))
-        parts.append((g, _window_model(spec.base, sub_window, p, polarity)))
-
-    size = len(omega)
-    win_pos = omega.positions
-    total_cols = sum(m.num_columns for _, m in parts)
-    mat = np.zeros((size * fb, total_cols))
-    mat3 = mat.reshape(size, fb, total_cols)
-    combined = "exact"
-    col0 = 0
-    for g, m in parts:
-        combined = _combine_polarity(combined, m.polarity)
-        k = m.num_columns
-        rows = [win_pos[(t * d + g,)] for (t,) in m.window.elements]
-        mat3[rows, :, col0 : col0 + k] = m.matrix.reshape(len(rows), fb, k)
-        col0 += k
-    if combined == "outer":
-        return _span_enclosure(spec.describe(), omega, p, fb, mat)
-
-    emb_supports = []
-    for g, m in parts:
-        fs = m.full_support if m.full_support is not None else m.window.elements
-        emb_supports.append([(t * d + g,) for (t,) in fs])
-    coords = tuple(sorted(set(omega.elements).union(*emb_supports)))
-    pos = {c: i for i, c in enumerate(coords)}
-    full = np.zeros((len(coords) * fb, total_cols))
-    full3 = full.reshape(len(coords), fb, total_cols)
-    col0 = 0
-    norms: list[float] = []
-    for (g, m), emb in zip(parts, emb_supports):
-        fm = m.full_matrix if m.full_matrix is not None else m.matrix
-        k = m.num_columns
-        full3[[pos[c] for c in emb], :, col0 : col0 + k] = fm.reshape(len(emb), fb, k)
-        norms.extend(m.column_norms or (1.0,) * k)
-        col0 += k
-    return WindowModel(
-        label=spec.describe(),
-        window=omega,
-        p=p,
-        fiber_dim=fb,
-        polarity=combined,
-        matrix=mat,
-        full_matrix=full,
-        full_support=coords,
-        column_norms=tuple(norms),
-    )
 
 
 def _check_window(spec: SubspaceSpec, omega: FiniteSubset):
@@ -971,15 +871,34 @@ def _window_model(spec: SubspaceSpec, omega: FiniteSubset, p: float, polarity: s
         centers = greedy_pack(omega, spec.core).centers.elements
         return _translate_model(label, omega, p, spec.fiber_dim, centers, unit, normalize=True)
     if isinstance(spec, DirectSum):
-        ml = _window_model(spec.left, omega, p, polarity)
-        mr = _window_model(spec.right, omega, p, polarity)
-        return _direct_sum_models(label, omega, p, ml, mr)
+        shift = spec.left.fiber_dim
+        parts = [
+            (_window_model(spec.left, omega, p, polarity), lambda c: (c, 0)),
+            (_window_model(spec.right, omega, p, polarity), lambda c: (c, shift)),
+        ]
+        return _placed_model(label, omega, p, spec.fiber_dim, parts)
     if isinstance(spec, Annihilator):
         return _window_model(annihilator_spec(spec.base), omega, p, polarity)
     if isinstance(spec, Reduced):
-        return _reduced_view(spec, omega, p, polarity)
+        # point c of the expanded window is fiber block c mod d of point c div d
+        d, fb = spec.index, spec.base.fiber_dim
+        base = _window_model(spec.base, _expanded_window(omega, d), p, polarity)
+        parts = [(base, lambda c: ((c[0] // d,), c[0] % d * fb))]
+        return _placed_model(label, omega, p, spec.fiber_dim, parts)
     if isinstance(spec, Induced):
-        return _induced_view(spec, omega, p, polarity)
+        # one base model per coset slice, point t of slice g landing at t*d + g
+        d = spec.index
+        slices: dict[int, list[Coords]] = {}
+        for (c,) in omega.elements:
+            slices.setdefault(c % d, []).append((c // d,))
+        parts = [
+            (
+                _window_model(spec.base, FiniteSubset(_Z, tuple(sorted(ts))), p, polarity),
+                lambda t, g=g: ((t[0] * d + g,), 0),
+            )
+            for g, ts in sorted(slices.items())
+        ]
+        return _placed_model(label, omega, p, spec.fiber_dim, parts)
     raise CapabilityError(f"no {polarity} model for {spec!r}")
 
 

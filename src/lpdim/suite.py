@@ -156,7 +156,7 @@ def property_suite(config: Optional[dict] = None, seed: int = 0) -> SuiteReport:
         if name not in estimates:
             sc = REGISTRY[name]
             estimates[name] = estimate_dimension(
-                sc.build(), sc.p, _capped_windows(sc.windows), sc.eps, seed=seed, jobs=jobs
+                sc.build(), sc.p, _capped_windows(sc.windows), sc.eps, jobs=jobs
             )
         return estimates[name]
 
@@ -208,7 +208,7 @@ def property_suite(config: Optional[dict] = None, seed: int = 0) -> SuiteReport:
     def check_full_exact() -> str:
         spec = Full(_Z, 2)
         for p in (1.0, 2.0, math.inf):
-            est = estimate_dimension(spec, p, [8, 32], [1.9, 0.1], seed=seed, jobs=jobs)
+            est = estimate_dimension(spec, p, [8, 32], [1.9, 0.1], jobs=jobs)
             for c in est.cells:
                 _require(
                     c.count_lo == c.count_hi == 2 * c.window_size,
@@ -270,7 +270,7 @@ def property_suite(config: Optional[dict] = None, seed: int = 0) -> SuiteReport:
         tol = 2.0 * float(alpha_fraction(omega, shape)) + 0.02
         mids = []
         for spec in (DirectSum(left, right), left, right):
-            est = estimate_dimension(spec, 2.0, [window], [eps], seed=seed, jobs=jobs)
+            est = estimate_dimension(spec, 2.0, [window], [eps], jobs=jobs)
             mids.append(_mid(est))
         gap = abs(mids[0] - mids[1] - mids[2])
         _require(gap <= tol, f"midpoint additivity off by {gap:.4g} > {tol:.4g}")
@@ -282,8 +282,8 @@ def property_suite(config: Optional[dict] = None, seed: int = 0) -> SuiteReport:
     def check_reduction() -> str:
         base = ConvImage(difference_kernel())
         for d in (2, 3):
-            red = estimate_dimension(Reduced(base, d), 2.0, [4, 8], [0.6, 0.3], seed=seed, jobs=jobs)
-            wide = estimate_dimension(base, 2.0, [4 * d, 8 * d], [0.6, 0.3], seed=seed, jobs=jobs)
+            red = estimate_dimension(Reduced(base, d), 2.0, [4, 8], [0.6, 0.3], jobs=jobs)
+            wide = estimate_dimension(base, 2.0, [4 * d, 8 * d], [0.6, 0.3], jobs=jobs)
             for cr, cb in zip(red.cells, wide.cells):
                 _require(
                     (cr.count_lo, cr.count_hi) == (cb.count_lo, cb.count_hi),
@@ -296,8 +296,8 @@ def property_suite(config: Optional[dict] = None, seed: int = 0) -> SuiteReport:
     # --- induction preserves the normalized corner ------------------------------
     def check_induction() -> str:
         base = ConvImage(difference_kernel())
-        ind = estimate_dimension(Induced(base, 2), 2.0, [16], [0.3], seed=seed, jobs=jobs)
-        plain = estimate_dimension(base, 2.0, [16], [0.3], seed=seed, jobs=jobs)
+        ind = estimate_dimension(Induced(base, 2), 2.0, [16], [0.3], jobs=jobs)
+        plain = estimate_dimension(base, 2.0, [16], [0.3], jobs=jobs)
         _require(
             (ind.corner_lo, ind.corner_hi) == (plain.corner_lo, plain.corner_hi),
             "induced corner moved",
@@ -314,7 +314,7 @@ def property_suite(config: Optional[dict] = None, seed: int = 0) -> SuiteReport:
         for p in (1.0, 1.5, 2.0):
             _, report = build_Q(spec, omega, p)
             _require(report.defect <= report.eps1 + 1e-9, f"defect beat its certificate at p={p}")
-            est = estimate_dimension(spec, p, [16, 32], [0.4, 0.2], seed=seed, jobs=jobs)
+            est = estimate_dimension(spec, p, [16, 32], [0.4, 0.2], jobs=jobs)
             _require(
                 report.bound <= est.corner_hi + 0.01,
                 f"lower bound {report.bound:.4g} above grid hi {est.corner_hi:.4g} at p={p}",
@@ -490,13 +490,13 @@ def property_suite(config: Optional[dict] = None, seed: int = 0) -> SuiteReport:
 
     # --- duality route lands on the primal estimate -------------------------------
     def check_dual() -> str:
-        full = dual_dimension(Full(_Z, 2), 1.5, [8], [0.5], seed=seed, jobs=jobs)
+        full = dual_dimension(Full(_Z, 2), 1.5, [8], [0.5], jobs=jobs)
         _require((full.corner_lo, full.corner_hi) == (2.0, 2.0), "dual of the full space moved")
-        zero = dual_dimension(Zero(_Z, 2), 1.0, [8], [0.5], seed=seed, jobs=jobs)
+        zero = dual_dimension(Zero(_Z, 2), 1.0, [8], [0.5], jobs=jobs)
         _require((zero.corner_lo, zero.corner_hi) == (0.0, 0.0), "dual of the zero space moved")
         spec = ConvImage(difference_kernel())
-        dual = dual_dimension(spec, 2.0, [32], [0.2], seed=seed, jobs=jobs)
-        primal = estimate_dimension(spec, 2.0, [32], [0.2], seed=seed, jobs=jobs)
+        dual = dual_dimension(spec, 2.0, [32], [0.2], jobs=jobs)
+        primal = estimate_dimension(spec, 2.0, [32], [0.2], jobs=jobs)
         gap = abs(_mid(dual) - _mid(primal))
         _require(gap <= 0.05, f"dual and primal midpoints differ by {gap:.4g}")
         return f"conv_image dual gap {gap:.4g}"
@@ -532,7 +532,7 @@ def property_suite(config: Optional[dict] = None, seed: int = 0) -> SuiteReport:
 
     # --- the sup-norm contrast: thin periodic space vs its dense union ------------
     def check_periodic_contrast() -> str:
-        thin = estimate_dimension(PeriodicInfty(3), math.inf, [6, 24], [0.5], seed=seed, jobs=jobs)
+        thin = estimate_dimension(PeriodicInfty(3), math.inf, [6, 24], [0.5], jobs=jobs)
         for c in thin.cells:
             _require(c.count_hi <= 3, f"periodic count {c.count_hi} above the period")
         _require(thin.corner_hi <= 3 / 24 + 1e-12, "periodic normalized count above 3/|window|")

@@ -123,7 +123,7 @@ def test_unknown_flag_exits_2(capsys):
     assert cli.main(["run", "--bogus"]) == 2
 
 
-def test_bad_grid_exits_2(capsys):
+def test_bad_grid_exits_2(capsys, tmp_path):
     code = cli.main(["run", "--scenario", "full", "--windows", "8,4", "--eps", "0.5"])
     assert code == 2
     assert "ascending" in capsys.readouterr().err
@@ -131,6 +131,33 @@ def test_bad_grid_exits_2(capsys):
         code = cli.main(["run", "--scenario", "full", "--windows", "2", "--eps", eps])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+    # 1e999 reads as inf; config windows reach the grid check unconverted
+    for windows in ("1e999", "NaN", "2.7", "[4, 2.5]"):
+        cfg = tmp_path / "bad.json"
+        grid = windows if windows.startswith("[") else f"[{windows}]"
+        cfg.write_text(f'{{"scenario": "full", "windows": {grid}, "eps": [0.5]}}')
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert "finite integers" in capsys.readouterr().err
+
+
+def test_certificate_inversion_exits_4(capsys, monkeypatch):
+    import lpdim.dimension as dimension
+
+    monkeypatch.setattr(dimension, "bracket_counts", lambda profile, eps: (5, 0))
+    assert cli.main(["run", "--scenario", "full", "--windows", "2", "--eps", "0.5"]) == 4
+    err = capsys.readouterr().err
+    assert "numeric" in err and "certificate inversion" in err
+
+
+def test_linalg_failure_exits_4(capsys, monkeypatch):
+    import lpdim.dimension as dimension
+
+    def broken(model):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(dimension, "bracket_profile", broken)
+    assert cli.main(["run", "--scenario", "full", "--windows", "2", "--eps", "0.5"]) == 4
+    assert "numeric" in capsys.readouterr().err
 
 
 def test_missing_subcommand_prints_help(capsys):

@@ -262,6 +262,12 @@ def test_estimate_grid_validation():
             estimate_dimension(spec, 2.0, [4], [0.5, bad])
     with pytest.raises(ValueError):
         estimate_dimension(spec, 0.5, [4], [0.5])
+    for bad in (math.inf, math.nan, 2.5, -math.inf, None):
+        with pytest.raises(ValueError, match="finite integers"):
+            estimate_dimension(spec, 2.0, [bad], [0.5])
+        with pytest.raises(ValueError, match="finite integers"):
+            estimate_dimension(spec, 2.0, [2, bad], [0.5])
+    assert estimate_dimension(spec, 2.0, [64.0], [0.5]).window_indices == (64,)
 
 
 def test_estimate_invariants_across_specs():

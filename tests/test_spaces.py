@@ -409,25 +409,31 @@ def test_inner_spans_sit_inside_outer_spans():
 
 
 def test_inner_models_respect_the_unit_ball():
-    omega = interval(0, 9)
     gen = SupportedMap(Z, 1, {0: [0.6], 1: [0.8]})
     specs = [
         ConvImage(diff_kernel()),
         CyclicTranslates(gen, FiniteSubset.of(Z, [0, 1]), 0.0),
         KerPeriodization(2),
+        DirectSum(ConvImage(diff_kernel()), ConvKernel(block_kernel())),
+        Induced(ConvImage(diff_kernel()), 2),
+        Reduced(ConvImage(diff_kernel()), 2),
     ]
-    for spec in specs:
-        for p in (1.0, 1.5, 2.0, math.inf):
-            m = inner_window_model(spec, omega, p)
-            assert m.column_norms is not None
-            assert all(n <= 1.0 + 1e-12 for n in m.column_norms)
-            # window rows of the full matrix reproduce the restricted matrix
-            pos = {c: i for i, c in enumerate(m.full_support)}
-            rows = []
-            for c in omega.elements:
-                base = pos[c] * m.fiber_dim
-                rows.extend(range(base, base + m.fiber_dim))
-            assert np.array_equal(m.full_matrix[rows, :], m.matrix)
+    for omega in (interval(0, 9), FiniteSubset.of(Z, [-3, 0, 1, 4, 9])):
+        for spec in specs:
+            for p in (1.0, 1.5, 2.0, math.inf):
+                m = inner_window_model(spec, omega, p)
+                assert m.column_norms is not None
+                assert all(n <= 1.0 + 1e-12 for n in m.column_norms)
+                # each full column carries the recorded full-space norm
+                full_norms = [lp_norm(col, p) for col in m.full_matrix.T]
+                assert full_norms == pytest.approx(m.column_norms, rel=1e-12), spec.describe()
+                # window rows of the full matrix reproduce the restricted matrix
+                pos = {c: i for i, c in enumerate(m.full_support)}
+                rows = []
+                for c in omega.elements:
+                    base = pos[c] * m.fiber_dim
+                    rows.extend(range(base, base + m.fiber_dim))
+                assert np.array_equal(m.full_matrix[rows, :], m.matrix)
 
 
 def test_ker_periodization_model_frozen_example():
