@@ -114,7 +114,7 @@ def _cmd_run(args) -> int:
     sc = REGISTRY[name]
     p = parse_p(args.p) if args.p is not None else parse_p(config.get("p", sc.p))
     windows = _parse_ints(args.windows) if args.windows else config.get("windows", sc.windows)
-    eps = _parse_floats(args.eps) if args.eps else [float(e) for e in config.get("eps", sc.eps)]
+    eps = _parse_floats(args.eps) if args.eps else config.get("eps", sc.eps)
     jobs = _resolve_jobs(args.jobs, config)
 
     spec = sc.build()
@@ -143,7 +143,7 @@ def _cmd_run(args) -> int:
     }
     print(
         f"{name}: p={format_p(p)} bracket [{est.corner_lo:.6g}, {est.corner_hi:.6g}]"
-        f" at window {est.window_indices[-1]}, eps {eps[-1]:g}"
+        f" at window {est.window_indices[-1]}, eps {est.eps_values[-1]:g}"
     )
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

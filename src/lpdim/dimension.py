@@ -28,6 +28,8 @@ the power relation that exact projections onto invariant balls satisfy.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -148,18 +150,23 @@ class DimensionEstimate:
 def _window_index(value) -> int:
     if isinstance(value, (int, np.integer)):
         return int(value)
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
+    x = float(value) if isinstance(value, numbers.Real) else math.nan
     if not x.is_integer():
         raise ValueError(f"window indices must be finite integers, got {value!r}")
     return int(x)
 
 
+def _threshold(value) -> float:
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"thresholds must be numbers, got {value!r}")
+    return float(value)
+
+
 def _validated_grid(windows: Sequence[int], eps: Sequence[float]):
+    if any(isinstance(v, str) or not isinstance(v, Iterable) for v in (windows, eps)):
+        raise ValueError("window indices and thresholds must be lists")
     idx = [_window_index(i) for i in windows]
-    cuts = [float(e) for e in eps]
+    cuts = [_threshold(e) for e in eps]
     if not idx or not cuts:
         raise ValueError("need at least one window index and one threshold")
     if any(i < 1 for i in idx):

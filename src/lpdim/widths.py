@@ -6,8 +6,12 @@ with X has diameter at most eps.  For ellipsoids in the Euclidean window it
 equals the number of semiaxes sigma with 2 sigma > eps, which is what makes
 p = 2 exactly computable.  Away from p = 2 the module returns a bracket
 obtained from norm-comparison constants on the coordinate count actually
-carrying the body, plus an optional linear-programming certificate for
-inscribed l1 balls that pins full-rank bodies down exactly.
+carrying the body, plus a certificate for inscribed l1 balls that pins
+full-rank bodies down exactly at p = 1.  That certificate lifts every window
+coordinate at once through one SVD (pseudoinverse plus null-space basis),
+minimises each lift's full-space l1 cost over the null space (closed form
+for up to one null direction, a small LP per coordinate beyond), and folds
+the recomputed residual of the final lifts into the radius.
 
 Also here: entrywise and operator norms (exact closed forms where they
 exist, certified brackets elsewhere), the Mazur duality map, a projected
@@ -27,8 +31,8 @@ from ._util import COUNT_TOL, RANK_RTOL, check_exponent, conjugate_exponent, lp_
 from .errors import CapabilityError
 from .spaces import WindowModel
 
-# window sizes above this skip the l1 inscribed-ball certificate; the LP count
-# grows with the window and the comparison bracket already covers large runs
+# windows above this skip the LP route of the l1 inscribed-ball certificate
+# (two or more null directions), which solves one HiGHS LP per coordinate
 _LP_CLAMP_MAX_DIM = 256
 
 
@@ -178,41 +182,94 @@ def ldim_hilbert(model: WindowModel, eps: float) -> int:
 def inscribed_l1_radius(model: WindowModel) -> float:
     """Radius of the largest l1 window ball certified inside an inner body.
 
-    Solves, for every window coordinate, the minimum full-space l1 norm of a
-    span element restricting to that coordinate's indicator.  When all the
-    programs succeed, scaling shows every window vector of l1 norm 1/M lifts
-    into the body, M the worst minimum.  Returns 0 when no certificate is
-    available (rank-deficient restriction, oversized window, LP failure).
+    The body holds M c for every span coefficient vector c with full-space
+    l1 norm ||F c||_1 <= 1 (M the window rows, F the full matrix).  One full
+    SVD of M gives the least-squares lift C = M^+ of every window coordinate
+    and an orthonormal basis N of ker M, so the lifts of coordinate i are
+    exactly C e_i + N t and the cheapest costs min_t ||F C e_i + F N t||_1.
+    With no null space the lift is unique; with one null direction the
+    minimiser is a weighted median of breakpoints, exact and vectorised over
+    all coordinates; with more, one small HiGHS LP per coordinate solves it.
+
+    The final coefficients X are then checked, not trusted: with residual
+    delta = ||M X - I||_{1->1} and worst cost w = max_i ||F X e_i||_1, both
+    widened by the rounding of their own products, the body holds
+    (1/w)(I + R) B_1, which contains ((1 - delta)/w) B_1 by the Neumann
+    series.  Returns 0 when no certificate is available (rank-deficient
+    restriction, LP route on an oversized window, LP failure, delta >= 1).
+    """
+    if model.polarity != "inner" or model.p != 1.0 or model.num_columns == 0:
+        return 0.0
+    mat = model.matrix
+    n, k = mat.shape
+    u, s, vt = np.linalg.svd(mat)
+    if n == 0 or np.sum(s > s[0] * RANK_RTOL) < n:
+        return 0.0
+    d = k - n
+    if d >= 2 and n > _LP_CLAMP_MAX_DIM:
+        return 0.0
+    full = model.full_matrix if model.full_matrix is not None else mat
+    coeffs = vt[:n].T @ (u.T / s[:, None])
+    if d > 0:
+        null = vt[n:].T
+        solve = _weighted_median_shifts if d == 1 else _lp_shifts
+        shifts = solve(full @ coeffs, full @ null)
+        if shifts is None:
+            return 0.0
+        coeffs = coeffs + null @ shifts
+    # entrywise, |fl(A B) - A B| <= gamma |A| |B|; gamma also covers the
+    # subtraction of I and the column sums
+    gamma = (k + full.shape[0] + 2) * np.finfo(float).eps
+    abs_coeffs = np.abs(coeffs)
+    resid = np.abs(mat @ coeffs - np.eye(n)) + gamma * (np.abs(mat) @ abs_coeffs)
+    delta = float(np.max(np.sum(resid, axis=0))) * (1.0 + gamma)
+    cost = np.abs(full @ coeffs) + gamma * (np.abs(full) @ abs_coeffs)
+    worst = float(np.max(np.sum(cost, axis=0))) * (1.0 + gamma)
+    if delta >= 1.0 or worst <= 0.0:
+        return 0.0
+    return (1.0 - delta) / worst
+
+
+def _weighted_median_shifts(base: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Per column i, the t minimising ||base[:, i] + t direction||_1, as a row.
+
+    direction is one column b; the objective is sum_r |b_r| |t + a_r / b_r|
+    over rows with b_r != 0, so a weighted median of the breakpoints
+    -a_r / b_r with weights |b_r| is a minimiser.
+    """
+    b = direction[:, 0]
+    live = b != 0.0
+    if not np.any(live):
+        return np.zeros((1, base.shape[1]))
+    points = -base[live] / b[live, None]
+    order = np.argsort(points, axis=0, kind="stable")
+    weights = np.cumsum(np.abs(b[live])[order], axis=0)
+    pick = np.argmax(weights >= 0.5 * weights[-1], axis=0)
+    return np.take_along_axis(points, order, axis=0)[pick, np.arange(base.shape[1])][None, :]
+
+
+def _lp_shifts(base: np.ndarray, directions: np.ndarray) -> Optional[np.ndarray]:
+    """Per column i, a t minimising ||base[:, i] + directions t||_1 by HiGHS.
+
+    Variables are t (free) and absolute-value slacks over the rows; returns
+    None when any program fails.
     """
     from scipy.optimize import linprog
 
-    if model.polarity != "inner" or model.p != 1.0:
-        return 0.0
-    n = model.matrix.shape[0]
-    if n > _LP_CLAMP_MAX_DIM or model.num_columns == 0 or model.rank() < n:
-        return 0.0
-    full = model.full_matrix if model.full_matrix is not None else model.matrix
-    rows, k = full.shape
-    # variables: span coefficients c, then absolute-value slacks t
-    objective = np.concatenate([np.zeros(k), np.ones(rows)])
-    a_ub = np.block(
-        [[full, -np.eye(rows)], [-full, -np.eye(rows)]]
-    )
-    b_ub = np.zeros(2 * rows)
-    bounds = [(None, None)] * k + [(0.0, None)] * rows
-    worst = 0.0
-    for i in range(n):
-        target = np.zeros(n)
-        target[i] = 1.0
-        a_eq = np.hstack([model.matrix, np.zeros((n, rows))])
+    rows, d = directions.shape
+    objective = np.concatenate([np.zeros(d), np.ones(rows)])
+    a_ub = np.block([[directions, -np.eye(rows)], [-directions, -np.eye(rows)]])
+    bounds = [(None, None)] * d + [(0.0, None)] * rows
+    shifts = np.empty((d, base.shape[1]))
+    for i in range(base.shape[1]):
         res = linprog(
-            objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=target,
+            objective, A_ub=a_ub, b_ub=np.concatenate([-base[:, i], base[:, i]]),
             bounds=bounds, method="highs",
         )
         if not res.success:
-            return 0.0
-        worst = max(worst, float(res.fun))
-    return 1.0 / worst if worst > 0.0 else 0.0
+            return None
+        shifts[:, i] = res.x[:d]
+    return shifts
 
 
 @dataclass(frozen=True)

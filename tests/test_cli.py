@@ -138,6 +138,12 @@ def test_bad_grid_exits_2(capsys, tmp_path):
         cfg.write_text(f'{{"scenario": "full", "windows": {grid}, "eps": [0.5]}}')
         assert cli.main(["run", "--config", str(cfg)]) == 2
         assert "finite integers" in capsys.readouterr().err
+    # config values that are not numbers or not lists
+    for grid, message in (('"windows": [2], "eps": [null]', "numbers"), ('"windows": 5, "eps": [0.5]', "lists")):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(f'{{"scenario": "full", {grid}}}')
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_certificate_inversion_exits_4(capsys, monkeypatch):

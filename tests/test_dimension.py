@@ -241,6 +241,12 @@ def test_estimate_ker_periodization_l1_clamp():
     assert (est.corner_lo, est.corner_hi) == (1.0, 1.0)
 
 
+def test_estimate_conv_image_l1_clamp_above_lp_windows():
+    # one null direction needs no LP, so the certificate holds past window 256
+    est = estimate_dimension(ConvImage(DIFF), 1.0, [512], [0.9])
+    assert [(c.count_lo, c.count_hi) for c in est.cells] == [(512, 512)]
+
+
 def test_estimate_grid_validation():
     spec = Full(Z, 1)
     with pytest.raises(ValueError):
@@ -262,12 +268,18 @@ def test_estimate_grid_validation():
             estimate_dimension(spec, 2.0, [4], [0.5, bad])
     with pytest.raises(ValueError):
         estimate_dimension(spec, 0.5, [4], [0.5])
-    for bad in (math.inf, math.nan, 2.5, -math.inf, None):
+    for bad in (math.inf, math.nan, 2.5, -math.inf, None, "8"):
         with pytest.raises(ValueError, match="finite integers"):
             estimate_dimension(spec, 2.0, [bad], [0.5])
         with pytest.raises(ValueError, match="finite integers"):
             estimate_dimension(spec, 2.0, [2, bad], [0.5])
     assert estimate_dimension(spec, 2.0, [64.0], [0.5]).window_indices == (64,)
+    for bad in (None, "0.5", [0.5]):
+        with pytest.raises(ValueError, match="numbers"):
+            estimate_dimension(spec, 2.0, [4], [bad])
+    for windows, eps in ((5, [0.5]), ([4], 0.5), ("4", [0.5])):
+        with pytest.raises(ValueError, match="lists"):
+            estimate_dimension(spec, 2.0, windows, eps)
 
 
 def test_estimate_invariants_across_specs():

@@ -7,13 +7,15 @@ import pytest
 
 from lpdim._util import conjugate_exponent, lp_norm, rng_for
 from lpdim.errors import CapabilityError
-from lpdim.groups import FiniteSubset, GroupSpec
+from lpdim.groups import FiniteSubset, GroupSpec, folner_window
+from lpdim.scenarios import near_dirac_translates
 from lpdim.spaces import (
     ConvImage,
     ConvKernel,
     ConvolutionKernel,
     DirectSum,
     Full,
+    Induced,
     KerPeriodization,
     WindowModel,
     inner_window_model,
@@ -302,10 +304,85 @@ def test_inscribed_radius_declines_when_not_applicable():
     omega = interval(0, 6)
     at_p2 = inner_window_model(KerPeriodization(2), omega, 2.0)
     assert inscribed_l1_radius(at_p2) == 0.0
-    rank_deficient = inner_window_model(ConvImage(diff_kernel()), omega, 1.0)
-    assert inscribed_l1_radius(rank_deficient) in (0.0,) or True
+    image = inner_window_model(ConvImage(diff_kernel()), omega, 1.0)
+    assert inscribed_l1_radius(image) == pytest.approx(0.5, abs=1e-9)
+    rank_deficient = ellipsoid_model([0.9, 0.5, 0.0], p=1.0)
+    assert inscribed_l1_radius(rank_deficient) == 0.0
     outer = outer_window_model(KerPeriodization(2), omega, 1.0)
     assert inscribed_l1_radius(outer) == 0.0
+
+
+def test_inscribed_radius_never_exceeds_the_exact_radius():
+    # the near point mass has exact radius 63/64; solver tolerance overstated it
+    spec = near_dirac_translates(6)
+    for window in (8, 64):
+        model = inner_window_model(spec, folner_window(Z, window), 1.0)
+        radius = inscribed_l1_radius(model)
+        assert 63 / 64 - 1e-12 <= radius <= 63 / 64
+
+
+def reference_l1_radius(model):
+    """One equality-constrained HiGHS LP per window coordinate.
+
+    Minimises ||F c||_1 subject to M c = e_i over span coefficients c, with
+    absolute-value slacks, and returns one over the worst optimum.
+    """
+    from scipy.optimize import linprog
+
+    mat = model.matrix
+    n = mat.shape[0]
+    if model.rank() < n:
+        return 0.0
+    full = model.full_matrix
+    rows, k = full.shape
+    objective = np.concatenate([np.zeros(k), np.ones(rows)])
+    a_ub = np.block([[full, -np.eye(rows)], [-full, -np.eye(rows)]])
+    a_eq = np.hstack([mat, np.zeros((n, rows))])
+    bounds = [(None, None)] * k + [(0.0, None)] * rows
+    worst = 0.0
+    for i in range(n):
+        res = linprog(
+            objective, A_ub=a_ub, b_ub=np.zeros(2 * rows), A_eq=a_eq, b_eq=np.eye(n)[i],
+            bounds=bounds, method="highs",
+        )
+        assert res.success
+        worst = max(worst, float(res.fun))
+    return 1.0 / worst
+
+
+def random_inner_model(rng, n, nullity, extra_rows):
+    """Inner p = 1 model with n window rows, n + nullity columns of unit l1 norm."""
+    full = rng.normal(size=(n + extra_rows, n + nullity))
+    full /= np.abs(full).sum(axis=0)
+    return WindowModel(
+        label="random-inner",
+        window=interval(0, n),
+        p=1.0,
+        fiber_dim=1,
+        polarity="inner",
+        matrix=full[:n],
+        full_matrix=full,
+        full_support=tuple((i,) for i in range(n + extra_rows)),
+        column_norms=(1.0,) * (n + nullity),
+    )
+
+
+def test_inscribed_radius_matches_the_per_coordinate_lp():
+    rng = rng_for(3, "l1-radius-reference")
+    models = [
+        random_inner_model(rng, n, nullity, extra)
+        for nullity in (0, 1, 2, 3)
+        for n, extra in ((5, 3), (8, 6))
+    ]
+    two_images = DirectSum(ConvImage(diff_kernel()), ConvImage(ConvolutionKernel.scalar(Z, {0: 2.0, 1: 1.0})))
+    models.append(inner_window_model(two_images, interval(0, 6), 1.0))
+    models.append(inner_window_model(Induced(ConvImage(diff_kernel()), 2), interval(0, 8), 1.0))
+    for model in models:
+        radius = inscribed_l1_radius(model)
+        reference = reference_l1_radius(model)
+        assert reference > 0.0
+        assert radius == pytest.approx(reference, abs=1e-8)
+        assert radius <= reference + 1e-8
 
 
 # ------------------------------------------------------------- four widths
