@@ -51,6 +51,7 @@ from .spaces import (
     fourier_oracle_dim,
     induce_spec,
     inner_window_model,
+    outer_rank,
     outer_window_model,
     pairing,
     reduce_spec,

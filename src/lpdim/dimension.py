@@ -4,7 +4,12 @@ The estimate runs a grid: window indices from a Folner ladder crossed with
 a descending list of cut thresholds.  Each cell holds a certified integer
 bracket for the diameter cut count, the lower end from the inner model (a
 body genuinely inside the restricted ball), the upper end from the outer
-model (a body genuinely containing it).  Normalizing by the window size
+model (a body genuinely containing it).  That upper count is the rank of
+the outer span below diameter two, and outer_rank gives it as an exact
+structural count for translate spans, convolution kernels and their sums,
+so those grids never build or factorise an outer matrix.  A grid whose
+largest window exceeds WINDOW_BUDGET coordinates is refused before any
+window is built.  Normalizing by the window size
 puts every cell in [0, fiber_dim].  The reported value is the bracket at
 the finest corner, largest window and smallest threshold.  No
 extrapolation is performed; refining the grid is the only way to tighten
@@ -44,18 +49,23 @@ from .errors import (
     StructureError,
     TailBoundError,
 )
-from .groups import FiniteSubset, folner_window
+from .groups import FiniteSubset, folner_size, folner_window
 from .spaces import (
     CyclicTranslates,
     SubspaceSpec,
     SupportedMap,
     annihilator_spec,
     inner_window_model,
-    outer_window_model,
+    outer_rank,
     pairing,
 )
 from .tiling import greedy_pack
 from .widths import SolverSettings, bracket_counts, bracket_profile, mazur, nearest_point
+
+# most window coordinates (points times fiber) a grid may ask for: 4096
+# points at fiber 3, the largest rung planned; a dense inner model of that
+# size already holds about 1.2 GB
+WINDOW_BUDGET = 12_288
 
 
 @dataclass(frozen=True)
@@ -193,27 +203,36 @@ def estimate_dimension(
 
     windows are Folner ladder indices, strictly ascending; eps are cut
     thresholds, strictly descending, so the last cell of the grid is the
-    finest.  Each window column shares one inner and one outer model, so
-    the grid costs one factorization per window, not per cell.  Window
-    columns are independent and run on up to jobs worker threads; assembly
-    is keyed by window index, so the result does not depend on jobs.
-    Raises CertificateInversion when a cell's lower count exceeds its
-    upper count.
+    finest.  Each window column shares one inner model, factorised once
+    for all its cells, and one outer rank, an exact structural count where
+    outer_rank has one.  Window columns are independent and run on up to
+    jobs worker threads; assembly is keyed by window index, so the result
+    does not depend on jobs.  Raises CapabilityError when the largest
+    window exceeds WINDOW_BUDGET coordinates, before any window is built,
+    and CertificateInversion when a cell's lower count exceeds its upper
+    count.
     """
     check_exponent(p)
     idx, cuts = _validated_grid(windows, eps)
     workers = max(1, int(jobs))
     fiber = spec.fiber_dim
+    largest = folner_size(spec.group, idx[-1]) * fiber
+    if largest > WINDOW_BUDGET:
+        raise CapabilityError(
+            f"window {idx[-1]} holds {largest} coordinates (points times fiber),"
+            f" above the budget of {WINDOW_BUDGET}"
+        )
 
     def column(i: int) -> list[GridCell]:
         omega = folner_window(spec.group, i)
         size = len(omega)
         prof_in = bracket_profile(inner_window_model(spec, omega, p))
-        prof_out = bracket_profile(outer_window_model(spec, omega, p))
+        rank = min(outer_rank(spec, omega, p), size * fiber)
         out = []
         for e in cuts:
             lo = bracket_counts(prof_in, e)[0]
-            hi = min(bracket_counts(prof_out, e)[1], size * fiber)
+            # the outer body is span cap ball: rank cuts below diameter two
+            hi = rank if e < 2.0 else 0
             if lo > hi:
                 raise CertificateInversion(
                     f"certificate inversion at window {i}, eps {e}: lo {lo} > hi {hi}"

@@ -11,6 +11,7 @@ tiling module relies on for determinism.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -235,6 +236,11 @@ def folner_window(group: GroupSpec, index: int) -> FiniteSubset:
     axes = [range(index) if m == 0 else range(m) for m in group.moduli]
     elements = tuple(itertools.product(*axes))
     return FiniteSubset(group, elements)
+
+
+def folner_size(group: GroupSpec, index: int) -> int:
+    """Number of points of folner_window(group, index), without building it."""
+    return math.prod(index if m == 0 else m for m in group.moduli)
 
 
 _FACTOR_RE = re.compile(r"^Z(?:\^(\d+)|/(\d+))?$", re.IGNORECASE)

@@ -12,7 +12,19 @@ finite window the library builds a *surrogate* of the restricted unit ball:
     inside the true restricted ball.
   outer polarity: the column span provably contains every restriction, and
     the body is span intersected with the ambient unit ball, so it encloses
-    the true restricted ball.
+    the true restricted ball.  Its cut counts need only the span's rank,
+    which outer_rank reads off the structure where a pivot rule holds on
+    Z^d (any finite window, lexicographic order):
+      - translate spans: the translate putting the kernel's lex-largest
+        support point s* on window point x has its lex-largest window entry
+        at x, with block h(s*); if that block has full row rank the rank is
+        |window| * fiber.
+      - kernels: each interior constraint row eta has its lex-largest entry
+        at eta s_-^-1, with block h(s_-) for the lex-least support point
+        s_-; if that block has full row rank the constraints are
+        independent and the rank is |window| * d_in - rows * d_out.
+    Ranks add over direct sums and coset slices; everything else (finite
+    or mixed groups, deficient pivots) falls back to the SVD of the model.
   exact polarity: the restricted ball is provably exactly span intersected
     with the ambient ball (full space, zero space, periodic patterns at
     p = infinity).
@@ -732,16 +744,20 @@ def _conv_kernel_inner(spec: ConvKernel, omega, p) -> WindowModel:
     )
 
 
-def _conv_kernel_outer(spec: ConvKernel, omega, p) -> WindowModel:
-    h = spec.kernel
+def _interior_rows(h: ConvolutionKernel, omega: FiniteSubset) -> list[Coords]:
+    """Points eta whose whole constraint (h * y)(eta) reads inside the window."""
     inv_support = [invert_coords(h.group, c) for c, _ in h.blocks]
     window_set = omega.coord_set
-    rows = [
+    return [
         eta
         for eta in _product_coords(h.group, omega.elements, [c for c, _ in h.blocks])
         if all(compose_coords(h.group, eta, s) in window_set for s in inv_support)
     ]
-    mat = _conv_constraint_matrix(h, rows, omega)
+
+
+def _conv_kernel_outer(spec: ConvKernel, omega, p) -> WindowModel:
+    h = spec.kernel
+    mat = _conv_constraint_matrix(h, _interior_rows(h, omega), omega)
     return _span_enclosure(spec.describe(), omega, p, h.dim_in, _null_space(mat))
 
 
@@ -888,18 +904,28 @@ def _window_model(spec: SubspaceSpec, omega: FiniteSubset, p: float, polarity: s
     if isinstance(spec, Induced):
         # one base model per coset slice, point t of slice g landing at t*d + g
         d = spec.index
-        slices: dict[int, list[Coords]] = {}
-        for (c,) in omega.elements:
-            slices.setdefault(c % d, []).append((c // d,))
         parts = [
             (
-                _window_model(spec.base, FiniteSubset(_Z, tuple(sorted(ts))), p, polarity),
+                _window_model(spec.base, part, p, polarity),
                 lambda t, g=g: ((t[0] * d + g,), 0),
             )
-            for g, ts in sorted(slices.items())
+            for g, part in _coset_slices(omega, d)
         ]
         return _placed_model(label, omega, p, spec.fiber_dim, parts)
     raise CapabilityError(f"no {polarity} model for {spec!r}")
+
+
+def _coset_slices(omega: FiniteSubset, d: int) -> list[tuple[int, FiniteSubset]]:
+    """(g, slice) per residue g mod d met by omega; point t of slice g is t*d + g."""
+    slices: dict[int, list[Coords]] = {}
+    for (c,) in omega.elements:
+        slices.setdefault(c % d, []).append((c // d,))
+    return [(g, FiniteSubset(_Z, tuple(sorted(ts)))) for g, ts in sorted(slices.items())]
+
+
+def _full_row_rank(blk: np.ndarray) -> bool:
+    """Whether a pivot block has full row rank, with numpy's rounding-level cutoff."""
+    return blk.shape[0] <= blk.shape[1] and np.linalg.matrix_rank(blk) == blk.shape[0]
 
 
 def inner_window_model(spec: SubspaceSpec, omega: FiniteSubset, p: float) -> WindowModel:
@@ -914,6 +940,37 @@ def outer_window_model(spec: SubspaceSpec, omega: FiniteSubset, p: float) -> Win
     check_exponent(p)
     _check_window(spec, omega)
     return _window_model(spec, omega, p, "outer")
+
+
+def outer_rank(spec: SubspaceSpec, omega: FiniteSubset, p: float) -> int:
+    """Rank of the outer model's span, built and factorised only as a fallback.
+
+    Translate spans and convolution kernels over Z^d take the exact pivot
+    counts of the module docstring, direct sums and coset slices add their
+    parts' ranks, and every other case factorises the outer model.
+    outer_window_model(spec, omega, p).rank() stays the independent numeric
+    reference for these counts.
+    """
+    check_exponent(p)
+    _check_window(spec, omega)
+    lattice = not any(omega.group.moduli)
+    if lattice and isinstance(spec, (ConvImage, CyclicTranslates)):
+        pattern = spec.kernel.blocks if isinstance(spec, ConvImage) else _unit_generator(spec, p)
+        if _full_row_rank(max(pattern, key=lambda sb: sb[0])[1]):
+            return len(omega) * spec.fiber_dim
+    if lattice and isinstance(spec, ConvKernel):
+        h = spec.kernel
+        if _full_row_rank(min(h.blocks, key=lambda sb: sb[0])[1]):
+            return len(omega) * h.dim_in - len(_interior_rows(h, omega)) * h.dim_out
+    if isinstance(spec, DirectSum):
+        return outer_rank(spec.left, omega, p) + outer_rank(spec.right, omega, p)
+    if isinstance(spec, Annihilator):
+        return outer_rank(annihilator_spec(spec.base), omega, p)
+    if isinstance(spec, Reduced):
+        return outer_rank(spec.base, _expanded_window(omega, spec.index), p)
+    if isinstance(spec, Induced):
+        return sum(outer_rank(spec.base, part, p) for _, part in _coset_slices(omega, spec.index))
+    return _window_model(spec, omega, p, "outer").rank()
 
 
 # ------------------------------------------------------------ Fourier oracle

@@ -386,9 +386,10 @@ def four_widths(model: WindowModel, eps: float) -> WidthCounts:
         raise CapabilityError("width quartet is computed in the p = 2 window")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    sigma = singular_profile(model)
     if model.polarity in ("outer", "exact"):
         sigma = np.ones(model.rank())
+    else:
+        sigma = singular_profile(model)
     # ties include for the inscribed counts, exclude for the cut counts,
     # with the counting guard absorbing whitening roundoff either way
     at_least = int(np.sum(sigma >= eps - COUNT_TOL))

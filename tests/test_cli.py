@@ -166,6 +166,17 @@ def test_linalg_failure_exits_4(capsys, monkeypatch):
     assert "numeric" in capsys.readouterr().err
 
 
+def test_oversized_window_exits_3_before_building_it(capsys, monkeypatch):
+    import lpdim.dimension as dimension
+
+    def no_window(group, index):
+        raise AssertionError("the budget check must come first")
+
+    monkeypatch.setattr(dimension, "folner_window", no_window)
+    assert cli.main(["run", "--scenario", "conv_image", "--windows", "1000000"]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
 def test_missing_subcommand_prints_help(capsys):
     assert cli.main([]) == 2
     assert "usage" in capsys.readouterr().out.lower()

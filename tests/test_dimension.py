@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from lpdim import dimension
 from lpdim.dimension import (
+    WINDOW_BUDGET,
     D_and_N,
     build_Q,
     dual_dimension,
@@ -30,6 +32,7 @@ from lpdim.spaces import (
     ConvKernel,
     ConvolutionKernel,
     CyclicTranslates,
+    DirectSum,
     Full,
     Induced,
     KerPeriodization,
@@ -280,6 +283,34 @@ def test_estimate_grid_validation():
     for windows, eps in ((5, [0.5]), ([4], 0.5), ("4", [0.5])):
         with pytest.raises(ValueError, match="lists"):
             estimate_dimension(spec, 2.0, windows, eps)
+
+
+def test_window_budget_is_checked_before_any_window_is_built(monkeypatch):
+    class Admitted(Exception):
+        pass
+
+    def no_window(group, index):
+        raise Admitted(f"window {index}")
+
+    monkeypatch.setattr(dimension, "folner_window", no_window)
+    z2 = GroupSpec.integer_lattice(2)
+    image2 = ConvImage(ConvolutionKernel.scalar(z2, {(0, 0): 1.0, (1, 0): -1.0}))
+    with pytest.raises(CapabilityError, match="budget"):
+        estimate_dimension(image2, 2.0, [10000], [0.5])
+    with pytest.raises(CapabilityError, match="budget"):
+        estimate_dimension(ConvImage(DIFF), 2.0, [8, 10**6], [0.5])
+    with pytest.raises(CapabilityError, match="budget"):
+        dual_dimension(ConvImage(DIFF), 2.0, [WINDOW_BUDGET + 1], [0.5])
+    # the fiber counts: 4097 points at fiber 3 are over, 4096 are not
+    fiber3 = DirectSum(ConvImage(DIFF), ConvKernel(ONE_BY_TWO))
+    with pytest.raises(CapabilityError, match="budget"):
+        estimate_dimension(fiber3, 2.0, [4097], [0.5])
+    # the planned rungs, and cyclic axes that count their order, get through
+    for spec, index in ((fiber3, 4096), (image2, 64), (Full(GroupSpec((0, 3)), 1), 4096)):
+        with pytest.raises(Admitted):
+            estimate_dimension(spec, 2.0, [index], [0.5])
+    with pytest.raises(CapabilityError, match="budget"):
+        estimate_dimension(Full(GroupSpec((0, 3)), 1), 2.0, [4097], [0.5])
 
 
 def test_estimate_invariants_across_specs():

@@ -8,6 +8,7 @@ from lpdim.groups import (
     FiniteSubset,
     GroupSpec,
     compose,
+    folner_size,
     folner_window,
     invert,
     parse_group,
@@ -102,6 +103,10 @@ def test_folner_window_shapes():
     assert len(folner_window(C5, 1)) == 5
     assert len(folner_window(C5, 9)) == 5
     assert len(folner_window(ZxC3, 4)) == 12
+    # the size is known without building the window
+    for group in (Z, Z2, C5, ZxC3):
+        for index in (1, 3, 9):
+            assert folner_size(group, index) == len(folner_window(group, index))
     with pytest.raises(ValueError):
         folner_window(Z, 0)
 

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpdim import spaces
 from lpdim._util import lp_norm, rng_for
 from lpdim.errors import CapabilityError, StructureError
-from lpdim.groups import FiniteSubset, GroupSpec
+from lpdim.groups import FiniteSubset, GroupSpec, folner_window
+from lpdim.scenarios import REGISTRY
 from lpdim.spaces import (
     Annihilator,
     ConvImage,
@@ -31,6 +33,7 @@ from lpdim.spaces import (
     fourier_oracle_dim,
     induce_spec,
     inner_window_model,
+    outer_rank,
     outer_window_model,
     pairing,
     reduce_spec,
@@ -558,6 +561,106 @@ def test_cyclic_translates_models():
             omega,
             2.0,
         )
+
+
+def _random_kernel(rng, group, d_in, d_out, points):
+    entries = {tuple(int(x) for x in pt): rng.normal(size=(d_out, d_in)) for pt in points}
+    return ConvolutionKernel.of(group, entries)
+
+
+def test_outer_rank_matches_the_svd_rank(monkeypatch):
+    z2 = GroupSpec.integer_lattice(2)
+    zc3 = GroupSpec((0, 3))
+    fallbacks = []
+    model = spaces._window_model
+
+    def counted(*args):
+        fallbacks.append(args[0])
+        return model(*args)
+
+    monkeypatch.setattr(spaces, "_window_model", counted)
+
+    # (spec, window, p, structural): structural True means no outer model is
+    # built, False means the SVD fallback runs, None leaves it open
+    cases = []
+    for sc in REGISTRY.values():
+        spec = sc.build()
+        cases += [(spec, folner_window(spec.group, i), sc.p, None) for i in sc.windows]
+
+    # the benchmark's p = 2 specs at window 64 on Z and 16 x 16 on Z^2
+    pair = ConvKernel(ConvolutionKernel.of(Z, {0: [[0.7, 0.0]], 1: [[0.0, 1.6]]}))
+    image = ConvImage(ConvolutionKernel.scalar(Z, {0: 1.3, 1: -1.3}))
+    image2 = ConvImage(ConvolutionKernel.scalar(z2, {(0, 0): 0.9, (1, 0): -0.9}))
+    for spec in (pair, DirectSum(image, pair), image):
+        cases.append((spec, folner_window(Z, 64), 2.0, True))
+    cases.append((image2, folner_window(z2, 16), 2.0, True))
+
+    # seeded random kernels on windows with gaps and negative points
+    rng = rng_for(6, "outer-rank")
+    windows = {
+        Z: [FiniteSubset.of(Z, [-5, -4, -1, 0, 2, 3, 4, 7, 8, 11]), interval(-3, 9)],
+        z2: [
+            FiniteSubset.of(z2, [(x, y) for x in range(-2, 4) for y in range(-3, 3) if (x * y) % 5 != 1]),
+            folner_window(z2, 5),
+        ],
+    }
+    for group, boxes in windows.items():
+        for d_in in (1, 2):
+            for d_out in (1, 2):
+                for _ in range(5):
+                    size = int(rng.integers(1, 5))
+                    pts = {tuple(rng.integers(-2, 3, size=group.rank)) for _ in range(size)}
+                    h = _random_kernel(rng, group, d_in, d_out, pts)
+                    for omega in boxes:
+                        cases.append((ConvImage(h), omega, 2.0, d_out <= d_in))
+                        cases.append((ConvKernel(h), omega, 2.0, d_out <= d_in))
+
+    # rank-deficient and zero pivot blocks fall back
+    deficient = [[1.0, 2.0], [2.0, 4.0]]
+    full_rank = [[1.0, 0.5], [-0.3, 2.0]]
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    omega = FiniteSubset.of(Z, [-4, -2, -1, 0, 1, 3, 4, 5])
+    for pivot in (deficient, zero):
+        # the image pivots on the lex-largest support point, the kernel on the least
+        top = ConvolutionKernel.of(Z, {0: full_rank, 1: [[0.2, 0.1], [0.4, -1.0]], 2: pivot})
+        bottom = ConvolutionKernel.of(Z, {-1: pivot, 0: full_rank, 2: [[0.2, 0.1], [0.4, -1.0]]})
+        cases += [(ConvImage(top), omega, 2.0, False), (ConvKernel(bottom), omega, 2.0, False)]
+
+    # finite and mixed groups fall back
+    for group in (C6, zc3):
+        h = _random_kernel(rng, group, 1, 1, [(0,) * group.rank, (1,) * group.rank])
+        h2 = _random_kernel(rng, group, 2, 1, [(0,) * group.rank, (2,) * group.rank])
+        for spec in (ConvImage(h), ConvKernel(h), ConvKernel(h2)):
+            cases.append((spec, folner_window(group, 4), 2.0, False))
+
+    # cyclic spans, slices, reindexing, duals and nested sums
+    gen = SupportedMap(Z, 1, {0: [0.6], 1: [0.8], 3: [-0.2]})
+    gen2 = SupportedMap(Z, 2, {0: [0.6, 0.1], 1: [0.8, 0.0]})
+    block = ConvKernel(block_kernel())
+    wrapped = [
+        (CyclicTranslates(gen, FiniteSubset.of(Z, [0, 1]), 0.3), True),
+        (CyclicTranslates(gen2, FiniteSubset.of(Z, [0, 1]), 0.1), False),
+        (Induced(ConvImage(diff_kernel()), 2), True),
+        (Induced(block, 3), True),
+        (Reduced(block, 2), True),
+        (Reduced(ConvImage(diff_kernel()), 3), True),
+        (Annihilator(ConvImage(diff_kernel())), True),
+        (Annihilator(ConvKernel(diff_kernel())), True),
+        # the dual of a fiber-2 kernel is a span of 2x1 translates: no pivot
+        (Annihilator(block), False),
+        (DirectSum(DirectSum(image, block), Induced(pair, 2)), True),
+        (DirectSum(Reduced(image, 2), DirectSum(KerPeriodization(2), block)), False),
+    ]
+    for omega in (interval(0, 12), FiniteSubset.of(Z, [-7, -3, -2, 0, 1, 2, 5, 6, 9])):
+        cases += [(spec, omega, p, structural) for spec, structural in wrapped for p in (1.0, 2.0)]
+
+    assert len(cases) > 200
+    for spec, omega, p, structural in cases:
+        fallbacks.clear()
+        rank = outer_rank(spec, omega, p)
+        if structural is not None:
+            assert (not fallbacks) == structural, spec.describe()
+        assert rank == outer_window_model(spec, omega, p).rank(), (spec.describe(), omega)
 
 
 def test_window_validation():

@@ -396,6 +396,31 @@ def test_four_widths_frozen_counts():
     assert w2.inscribed == 4 and w2.radius_cut == 3 and w2.diameter_cut == 4
 
 
+def test_four_widths_on_outer_models_use_the_rank_alone(monkeypatch):
+    import lpdim.widths as widths
+
+    def unused(model):
+        raise AssertionError("outer widths need no ellipsoid profile")
+
+    monkeypatch.setattr(widths, "singular_profile", unused)
+    eps_values = (0.05, 0.5, 1.0, 1.5, 2.0, 2.5)
+    for spec, omega, rank in (
+        (ConvKernel(diff_kernel()), interval(0, 8), 1),
+        (KerPeriodization(2), interval(0, 6), 6),
+    ):
+        outer = outer_window_model(spec, omega, 2.0)
+        got = [four_widths(outer, eps) for eps in eps_values]
+        # frozen from the route that also ran the discarded profile
+        assert got == [
+            WidthCounts(rank, rank, rank, rank),
+            WidthCounts(rank, rank, rank, rank),
+            WidthCounts(rank, rank, 0, rank),
+            WidthCounts(0, 0, 0, rank),
+            WidthCounts(0, 0, 0, 0),
+            WidthCounts(0, 0, 0, 0),
+        ]
+
+
 def test_width_chain_on_random_profiles():
     rng = rng_for(4242, "chain")
     for _ in range(200):
