@@ -26,7 +26,7 @@ from .errors import (
     StructureError,
     TailBoundError,
 )
-from .groups import FiniteSubset, GroupElement, GroupSpec, folner_window, parse_group
+from .groups import FiniteSubset, GroupSpec, folner_window, parse_group
 from .scenarios import REGISTRY, Scenario, get_scenario, scenario_names
 from .spaces import (
     Annihilator,

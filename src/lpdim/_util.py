@@ -1,18 +1,28 @@
-"""Small shared helpers: p-norms, conjugate exponents, deterministic RNG streams."""
+"""Small shared helpers: the rank rule, p-norms, conjugate exponents, RNG streams."""
 
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 
 import numpy as np
 
-# Relative singular-value threshold used everywhere a rank or nullity is needed.
+# Relative singular-value threshold of numerical_rank, the one rank rule.
 RANK_RTOL = 1e-8
 
 # Absolute slack for comparisons of the form  |F'| >= (1 - eps) * |F|  so that
 # decimal eps values behave as written instead of as binary approximations.
 COUNT_TOL = 1e-9
+
+
+def numerical_rank(s) -> int:
+    """Count of singular values above RANK_RTOL * s[0] (s descending), 0 for
+    an empty or zero spectrum: the one rule for every rank and nullity."""
+    s = np.asarray(s)
+    if s.size == 0 or s[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(s > s[0] * RANK_RTOL))
 
 
 def lp_norm(x, p: float) -> float:
@@ -38,8 +48,28 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
+def to_float(value) -> float:
+    """float(value), reading an integer past the float range as +-inf, as
+    JSON reads 1e999, so huge integers and huge floats mean the same."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def to_int(value, what: str) -> int:
+    """value as an int, an integral float such as 4.0 included; anything
+    else, bools too, raises a ValueError naming what."""
+    if not isinstance(value, bool):
+        if isinstance(value, (int, np.integer)):
+            return int(value)
+        if isinstance(value, numbers.Real) and to_float(value).is_integer():
+            return int(value)
+    raise ValueError(f"expected finite integers for {what}, got {value!r}")
+
+
 def check_exponent(p: float) -> float:
-    p = float(p)
+    p = to_float(p)
     if math.isnan(p) or p < 1:
         raise ValueError(f"exponent p must lie in [1, inf], got {p}")
     return p
@@ -67,7 +97,7 @@ def format_p(p: float) -> str:
 
 def parse_p(text) -> float:
     if isinstance(text, (int, float)):
-        return check_exponent(float(text))
+        return check_exponent(text)
     t = str(text).strip().lower()
     if t in ("inf", "infinity", "oo"):
         return math.inf

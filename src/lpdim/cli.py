@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import format_p, parse_p
+from ._util import format_p, parse_p, to_int
 from .dimension import D_and_N, estimate_dimension
 from .errors import CapabilityError, CertificateInversion, SolverFailure, TailBoundError
 from .groups import folner_window
@@ -71,6 +71,13 @@ def _load_config(path: Optional[str]) -> dict:
     return payload
 
 
+def _config_object(config: dict, key: str) -> dict:
+    value = config.get(key, {})
+    if not isinstance(value, dict):
+        raise UsageError(f"config {key!r} must be a JSON object, got {value!r}")
+    return value
+
+
 def _resolve_jobs(flag_value: Optional[int], config: dict) -> int:
     env = os.environ.get("LPDIM_JOBS")
     if env is not None:
@@ -80,7 +87,7 @@ def _resolve_jobs(flag_value: Optional[int], config: dict) -> int:
             raise UsageError(f"LPDIM_JOBS must be an integer, got {env!r}") from None
     if flag_value is not None:
         return max(1, flag_value)
-    return max(1, int(config.get("jobs", 1)))
+    return max(1, to_int(config.get("jobs", 1), "config 'jobs'"))
 
 
 def _write_csv(path: str, scenario: str, p: float, est) -> None:
@@ -109,7 +116,7 @@ def _cmd_run(args) -> int:
     name = args.scenario or config.get("scenario")
     if not name:
         raise UsageError("run needs --scenario or a config file naming one")
-    if name not in REGISTRY:
+    if not isinstance(name, str) or name not in REGISTRY:
         raise UsageError(f"unknown scenario {name!r}; known: {', '.join(scenario_names())}")
     sc = REGISTRY[name]
     p = parse_p(args.p) if args.p is not None else parse_p(config.get("p", sc.p))
@@ -120,11 +127,14 @@ def _cmd_run(args) -> int:
     spec = sc.build()
     est = estimate_dimension(spec, p, windows, eps, jobs=jobs)
     diagnostics: dict = {"monotone_in_eps": est.monotone_in_eps}
-    diag_cfg = config.get("diagnostics", {})
+    diag_cfg = _config_object(config, "diagnostics")
     if diag_cfg.get("dn"):
         # the projection solve runs on the smallest window; settings may be
         # overridden from the config to stress or relax the solver
-        settings = SolverSettings(**diag_cfg.get("dn_settings", {}))
+        try:
+            settings = SolverSettings(**_config_object(diag_cfg, "dn_settings"))
+        except TypeError as err:  # a key SolverSettings does not have
+            raise UsageError(f"config 'dn_settings': {err}") from None
         res = D_and_N(spec, p, folner_window(spec.group, min(est.window_indices)), settings)
         diagnostics["projection"] = {
             "d": res.d_value,
@@ -154,10 +164,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _load_config(args.config)
-    if args.only:
-        config["only"] = list(config.get("only", [])) + args.only
+    only = config.get("only", [])
+    only = [only] if isinstance(only, str) else only
+    if not isinstance(only, list) or not all(isinstance(tag, str) for tag in only):
+        raise UsageError(f"config 'only' must be a string or a list of strings, got {only!r}")
+    config["only"] = only + (args.only or [])
     config["jobs"] = _resolve_jobs(args.jobs, config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = args.seed if args.seed is not None else to_int(config.get("seed", 0), "config 'seed'")
     report = property_suite(config, seed=seed)
     for c in report.checks:
         mark = "ok" if c.passed else "FAIL"

@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import check_exponent, conjugate_exponent, format_p, lp_norm
+from ._util import check_exponent, conjugate_exponent, format_p, lp_norm, to_float, to_int
 from .errors import (
     CapabilityError,
     CertificateInversion,
@@ -157,25 +157,16 @@ class DimensionEstimate:
         }
 
 
-def _window_index(value) -> int:
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    x = float(value) if isinstance(value, numbers.Real) else math.nan
-    if not x.is_integer():
-        raise ValueError(f"window indices must be finite integers, got {value!r}")
-    return int(x)
-
-
 def _threshold(value) -> float:
     if not isinstance(value, numbers.Real):
         raise ValueError(f"thresholds must be numbers, got {value!r}")
-    return float(value)
+    return to_float(value)
 
 
 def _validated_grid(windows: Sequence[int], eps: Sequence[float]):
     if any(isinstance(v, str) or not isinstance(v, Iterable) for v in (windows, eps)):
         raise ValueError("window indices and thresholds must be lists")
-    idx = [_window_index(i) for i in windows]
+    idx = [to_int(i, "window indices") for i in windows]
     cuts = [_threshold(e) for e in eps]
     if not idx or not cuts:
         raise ValueError("need at least one window index and one threshold")
@@ -475,7 +466,7 @@ def D_and_N(
         raise CapabilityError("projection invariants need 1 < p < inf")
     if spec.fiber_dim != 1:
         raise CapabilityError("projection invariants are defined for scalar fibers")
-    ident = spec.group.identity().coords
+    ident = (0,) * spec.group.rank
     if ident not in omega:
         raise ValueError("window must contain the identity")
 

@@ -59,10 +59,6 @@ class GroupSpec:
     def rank(self) -> int:
         return len(self.moduli)
 
-    @property
-    def is_finite(self) -> bool:
-        return all(m > 0 for m in self.moduli)
-
     def reduce(self, coords: Iterable[int]) -> Coords:
         out = tuple(int(c) % m if m else int(c) for c, m in zip(coords, self.moduli))
         return out
@@ -74,14 +70,6 @@ class GroupSpec:
                 f"coordinate arity {len(coords)} does not match group rank {self.rank}"
             )
         return self.reduce(coords)
-
-    def element(self, *coords) -> "GroupElement":
-        if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
-            coords = tuple(coords[0])
-        return GroupElement(self, self.check_coords(coords))
-
-    def identity(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.rank)
 
     def describe(self) -> str:
         parts = []
@@ -101,35 +89,8 @@ class GroupSpec:
         return f"GroupSpec({self.describe()!r})"
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    group: GroupSpec
-    coords: Coords
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return compose(self, other)
-
-    def inverse(self) -> "GroupElement":
-        return invert(self)
-
-    def __repr__(self):
-        return f"g{self.coords}"
-
-
-def compose(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Group law, coordinatewise addition with cyclic slots reduced."""
-    if a.group != b.group:
-        raise StructureError("cannot compose elements of different groups")
-    g = a.group
-    return GroupElement(g, g.reduce(x + y for x, y in zip(a.coords, b.coords)))
-
-
-def invert(a: GroupElement) -> GroupElement:
-    g = a.group
-    return GroupElement(g, g.reduce(-x for x in a.coords))
-
-
 def compose_coords(group: GroupSpec, a: Coords, b: Coords) -> Coords:
+    """The group law: coordinatewise addition, cyclic slots reduced."""
     return group.reduce(x + y for x, y in zip(a, b))
 
 
@@ -148,11 +109,7 @@ class FiniteSubset:
     def of(group: GroupSpec, items) -> "FiniteSubset":
         coords = set()
         for item in items:
-            if isinstance(item, GroupElement):
-                if item.group != group:
-                    raise StructureError("element belongs to a different group")
-                coords.add(item.coords)
-            elif isinstance(item, (tuple, list)):
+            if isinstance(item, (tuple, list)):
                 coords.add(group.check_coords(item))
             elif group.rank == 1:
                 try:
@@ -179,15 +136,10 @@ class FiniteSubset:
         return iter(self.elements)
 
     def __contains__(self, coords) -> bool:
-        if isinstance(coords, GroupElement):
-            coords = coords.coords
         return tuple(coords) in self.coord_set
 
     def is_empty(self) -> bool:
         return not self.elements
-
-    def translated(self, g: GroupElement) -> "FiniteSubset":
-        return translate_set(g, self)
 
     def union(self, other: "FiniteSubset") -> "FiniteSubset":
         self._check_peer(other)
@@ -196,10 +148,6 @@ class FiniteSubset:
     def difference(self, other: "FiniteSubset") -> "FiniteSubset":
         self._check_peer(other)
         return FiniteSubset(self.group, tuple(sorted(self.coord_set - other.coord_set)))
-
-    def intersection(self, other: "FiniteSubset") -> "FiniteSubset":
-        self._check_peer(other)
-        return FiniteSubset(self.group, tuple(sorted(self.coord_set & other.coord_set)))
 
     def is_subset_of(self, other: "FiniteSubset") -> bool:
         self._check_peer(other)
@@ -214,15 +162,6 @@ class FiniteSubset:
         if len(self.elements) > 6:
             inner += f", ... ({len(self.elements)} total)"
         return f"FiniteSubset{{{inner}}}"
-
-
-def translate_set(g: GroupElement, subset: FiniteSubset) -> FiniteSubset:
-    """Left translate g * S, re-sorted into canonical order."""
-    if g.group != subset.group:
-        raise StructureError("translate by an element of a different group")
-    grp = subset.group
-    moved = (compose_coords(grp, g.coords, c) for c in subset.elements)
-    return FiniteSubset(grp, tuple(sorted(moved)))
 
 
 def folner_window(group: GroupSpec, index: int) -> FiniteSubset:

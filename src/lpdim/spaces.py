@@ -23,11 +23,15 @@ finite window the library builds a *surrogate* of the restricted unit ball:
         at eta s_-^-1, with block h(s_-) for the lex-least support point
         s_-; if that block has full row rank the constraints are
         independent and the rank is |window| * d_in - rows * d_out.
-    Ranks add over direct sums and coset slices; everything else (finite
-    or mixed groups, deficient pivots) falls back to the SVD of the model.
+    Everything else (finite or mixed groups, deficient pivots) falls back
+    to numerical_rank of the model's singular values.
   exact polarity: the restricted ball is provably exactly span intersected
     with the ambient ball (full space, zero space, periodic patterns at
     p = infinity).
+
+Direct sums, reductions and inductions are split into parts in one place,
+_parts; window models stack the parts' models and outer ranks add their
+ranks.  Annihilators resolve to their closed-form duals first.
 
 Width computations downstream turn inner models into certified lower counts
 and outer models into certified upper counts.  The fiber norm on vector
@@ -43,7 +47,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._util import RANK_RTOL, check_exponent, lp_norm
+from ._util import check_exponent, lp_norm, numerical_rank
 from .errors import CapabilityError, StructureError
 from .groups import (
     Coords,
@@ -171,17 +175,6 @@ class ConvolutionKernel:
         return ConvolutionKernel.of(group, {k: [[float(v)]] for k, v in entries.items()})
 
     @property
-    def support(self) -> FiniteSubset:
-        return FiniteSubset(self.group, tuple(c for c, _ in self.blocks))
-
-    def block(self, at) -> np.ndarray:
-        c = _as_coords(self.group, at)
-        for cc, b in self.blocks:
-            if cc == c:
-                return b.copy()
-        return np.zeros((self.dim_out, self.dim_in))
-
-    @property
     def l1_norm(self) -> float:
         total = 0.0
         for _, b in self.blocks:
@@ -239,8 +232,8 @@ class SubspaceSpec:
 
 
 @dataclass(frozen=True)
-class Full(SubspaceSpec):
-    """The whole space of p-summable V-valued functions."""
+class _Trivial(SubspaceSpec):
+    """Base of Full and Zero, which hold only a group and a fiber dimension."""
 
     grp: GroupSpec
     dim_v: int = 1
@@ -256,28 +249,18 @@ class Full(SubspaceSpec):
     @property
     def fiber_dim(self):
         return self.dim_v
+
+
+@dataclass(frozen=True)
+class Full(_Trivial):
+    """The whole space of p-summable V-valued functions."""
 
     def describe(self):
         return f"full(dim={self.dim_v})"
 
 
 @dataclass(frozen=True)
-class Zero(SubspaceSpec):
-    grp: GroupSpec
-    dim_v: int = 1
-
-    def __post_init__(self):
-        if self.dim_v < 1:
-            raise StructureError("fiber dimension must be >= 1")
-
-    @property
-    def group(self):
-        return self.grp
-
-    @property
-    def fiber_dim(self):
-        return self.dim_v
-
+class Zero(_Trivial):
     def describe(self):
         return f"zero(dim={self.dim_v})"
 
@@ -370,8 +353,20 @@ class DirectSum(SubspaceSpec):
         return f"sum({self.left.describe()}, {self.right.describe()})"
 
 
+class _Sequences(SubspaceSpec):
+    """Base of the scalar sequence spaces over the integers."""
+
+    @property
+    def group(self):
+        return _Z
+
+    @property
+    def fiber_dim(self):
+        return 1
+
+
 @dataclass(frozen=True)
-class PeriodicInfty(SubspaceSpec):
+class PeriodicInfty(_Sequences):
     """n-periodic bounded sequences on the integers; trivial at finite p."""
 
     period: int
@@ -380,36 +375,20 @@ class PeriodicInfty(SubspaceSpec):
         if self.period < 1:
             raise StructureError("period must be >= 1")
 
-    @property
-    def group(self):
-        return _Z
-
-    @property
-    def fiber_dim(self):
-        return 1
-
     def describe(self):
         return f"periodic_sup(period={self.period})"
 
 
 @dataclass(frozen=True)
-class UnionPeriodic(SubspaceSpec):
+class UnionPeriodic(_Sequences):
     """Sup-norm closure of all periodic sequences; restricted balls are full."""
-
-    @property
-    def group(self):
-        return _Z
-
-    @property
-    def fiber_dim(self):
-        return 1
 
     def describe(self):
         return "periodic_union"
 
 
 @dataclass(frozen=True)
-class KerPeriodization(SubspaceSpec):
+class KerPeriodization(_Sequences):
     """Summable sequences whose every mod-n residue class sums to zero."""
 
     period: int
@@ -417,14 +396,6 @@ class KerPeriodization(SubspaceSpec):
     def __post_init__(self):
         if self.period < 1:
             raise StructureError("period must be >= 1")
-
-    @property
-    def group(self):
-        return _Z
-
-    @property
-    def fiber_dim(self):
-        return 1
 
     def describe(self):
         return f"ker_periodization(period={self.period})"
@@ -452,21 +423,26 @@ class Annihilator(SubspaceSpec):
 
 
 @dataclass(frozen=True, eq=False)
-class Reduced(SubspaceSpec):
-    """Reindexing over the index-d subgroup, fiber blown up d-fold."""
+class _Reindexed(SubspaceSpec):
+    """Base of Reduced and Induced: a subspace over Z and a subgroup index."""
 
     base: SubspaceSpec
     index: int
 
     def __post_init__(self):
         if self.base.group != _Z:
-            raise CapabilityError("reduction is implemented over the integers only")
+            raise CapabilityError(f"{type(self).__name__} is implemented over the integers only")
         if self.index < 1:
             raise ValueError("subgroup index must be >= 1")
 
     @property
     def group(self):
         return _Z
+
+
+@dataclass(frozen=True, eq=False)
+class Reduced(_Reindexed):
+    """Reindexing over the index-d subgroup, fiber blown up d-fold."""
 
     @property
     def fiber_dim(self):
@@ -477,21 +453,8 @@ class Reduced(SubspaceSpec):
 
 
 @dataclass(frozen=True, eq=False)
-class Induced(SubspaceSpec):
+class Induced(_Reindexed):
     """Functions whose every mod-d coset slice lies in the base subspace."""
-
-    base: SubspaceSpec
-    index: int
-
-    def __post_init__(self):
-        if self.base.group != _Z:
-            raise CapabilityError("induction is implemented over the integers only")
-        if self.index < 1:
-            raise ValueError("subgroup index must be >= 1")
-
-    @property
-    def group(self):
-        return _Z
 
     @property
     def fiber_dim(self):
@@ -525,10 +488,8 @@ def reduce_spec(spec: SubspaceSpec, d: int) -> SubspaceSpec:
         raise ValueError("subgroup index must be >= 1")
     if d == 1:
         return spec
-    if isinstance(spec, Full):
-        return Full(spec.grp, spec.dim_v * d)
-    if isinstance(spec, Zero):
-        return Zero(spec.grp, spec.dim_v * d)
+    if isinstance(spec, _Trivial):
+        return type(spec)(spec.grp, spec.dim_v * d)
     return Reduced(spec, d)
 
 
@@ -537,10 +498,8 @@ def induce_spec(spec: SubspaceSpec, d: int) -> SubspaceSpec:
         raise ValueError("subgroup index must be >= 1")
     if d == 1:
         return spec
-    if isinstance(spec, Full):
-        return Full(spec.grp, spec.dim_v)
-    if isinstance(spec, Zero):
-        return Zero(spec.grp, spec.dim_v)
+    if isinstance(spec, _Trivial):
+        return spec
     return Induced(spec, d)
 
 
@@ -578,10 +537,7 @@ class WindowModel:
     def rank(self) -> int:
         if self.matrix.size == 0:
             return 0
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        return int(np.sum(s > s[0] * RANK_RTOL))
+        return numerical_rank(np.linalg.svd(self.matrix, compute_uv=False))
 
 
 def _genuine_model(
@@ -705,16 +661,12 @@ def _product_coords(grp: GroupSpec, a, b) -> list[Coords]:
 
 
 def _null_space(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space, relative rank threshold."""
+    """Orthonormal basis of the null space, past numerical_rank."""
     n = mat.shape[1]
     if mat.shape[0] == 0 or n == 0:
         return np.eye(n)
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > s[0] * RANK_RTOL))
-    return vh[rank:].T.copy()
+    return vh[numerical_rank(s):].T.copy()
 
 
 def _conv_constraint_matrix(
@@ -842,11 +794,6 @@ def _placed_model(label, omega, p, fiber, parts) -> WindowModel:
     )
 
 
-def _expanded_window(omega: FiniteSubset, d: int) -> FiniteSubset:
-    coords = tuple((t * d + g,) for (t,) in omega.elements for g in range(d))
-    return FiniteSubset(_Z, coords)
-
-
 def _check_window(spec: SubspaceSpec, omega: FiniteSubset):
     if omega.is_empty():
         raise ValueError("window models need a nonempty window")
@@ -854,9 +801,45 @@ def _check_window(spec: SubspaceSpec, omega: FiniteSubset):
         raise StructureError("window and subspace live over different groups")
 
 
+def _resolved(spec: SubspaceSpec) -> SubspaceSpec:
+    """spec with its Annihilator wrappers replaced by their closed-form duals."""
+    while isinstance(spec, Annihilator):
+        spec = annihilator_spec(spec.base)
+    return spec
+
+
+def _parts(spec: SubspaceSpec, omega: FiniteSubset):
+    """[(part spec, part window, place)] for a composite spec, else None.
+
+    place maps a point of the part window to (point of omega, first fiber
+    slot), as _placed_model reads it.
+    """
+    if isinstance(spec, DirectSum):
+        shift = spec.left.fiber_dim
+        return [(spec.left, omega, lambda c: (c, 0)), (spec.right, omega, lambda c: (c, shift))]
+    if isinstance(spec, Reduced):
+        # point c of the expanded window is fiber block c mod d of point c div d
+        d, fb = spec.index, spec.base.fiber_dim
+        wide = FiniteSubset(_Z, tuple((t * d + g,) for (t,) in omega.elements for g in range(d)))
+        return [(spec.base, wide, lambda c: ((c[0] // d,), c[0] % d * fb))]
+    if isinstance(spec, Induced):
+        # one base part per coset slice, point t of slice g landing at t*d + g
+        d = spec.index
+        return [
+            (spec.base, part, lambda t, g=g: ((t[0] * d + g,), 0))
+            for g, part in _coset_slices(omega, d)
+        ]
+    return None
+
+
 def _window_model(spec: SubspaceSpec, omega: FiniteSubset, p: float, polarity: str) -> WindowModel:
     """The inner or outer model of spec on omega; exact models serve both."""
+    spec = _resolved(spec)
     label = spec.describe()
+    parts = _parts(spec, omega)
+    if parts is not None:
+        models = [(_window_model(part, w, p, polarity), place) for part, w, place in parts]
+        return _placed_model(label, omega, p, spec.fiber_dim, models)
     if isinstance(spec, Full):
         return _full_model(label, omega, p, spec.dim_v)
     if isinstance(spec, Zero):
@@ -886,32 +869,6 @@ def _window_model(spec: SubspaceSpec, omega: FiniteSubset, p: float, polarity: s
 
         centers = greedy_pack(omega, spec.core).centers.elements
         return _translate_model(label, omega, p, spec.fiber_dim, centers, unit, normalize=True)
-    if isinstance(spec, DirectSum):
-        shift = spec.left.fiber_dim
-        parts = [
-            (_window_model(spec.left, omega, p, polarity), lambda c: (c, 0)),
-            (_window_model(spec.right, omega, p, polarity), lambda c: (c, shift)),
-        ]
-        return _placed_model(label, omega, p, spec.fiber_dim, parts)
-    if isinstance(spec, Annihilator):
-        return _window_model(annihilator_spec(spec.base), omega, p, polarity)
-    if isinstance(spec, Reduced):
-        # point c of the expanded window is fiber block c mod d of point c div d
-        d, fb = spec.index, spec.base.fiber_dim
-        base = _window_model(spec.base, _expanded_window(omega, d), p, polarity)
-        parts = [(base, lambda c: ((c[0] // d,), c[0] % d * fb))]
-        return _placed_model(label, omega, p, spec.fiber_dim, parts)
-    if isinstance(spec, Induced):
-        # one base model per coset slice, point t of slice g landing at t*d + g
-        d = spec.index
-        parts = [
-            (
-                _window_model(spec.base, part, p, polarity),
-                lambda t, g=g: ((t[0] * d + g,), 0),
-            )
-            for g, part in _coset_slices(omega, d)
-        ]
-        return _placed_model(label, omega, p, spec.fiber_dim, parts)
     raise CapabilityError(f"no {polarity} model for {spec!r}")
 
 
@@ -946,13 +903,17 @@ def outer_rank(spec: SubspaceSpec, omega: FiniteSubset, p: float) -> int:
     """Rank of the outer model's span, built and factorised only as a fallback.
 
     Translate spans and convolution kernels over Z^d take the exact pivot
-    counts of the module docstring, direct sums and coset slices add their
-    parts' ranks, and every other case factorises the outer model.
+    counts of the module docstring, composites add the ranks of their
+    _parts, and every other case factorises the outer model.
     outer_window_model(spec, omega, p).rank() stays the independent numeric
     reference for these counts.
     """
     check_exponent(p)
     _check_window(spec, omega)
+    spec = _resolved(spec)
+    parts = _parts(spec, omega)
+    if parts is not None:
+        return sum(outer_rank(part, w, p) for part, w, _ in parts)
     lattice = not any(omega.group.moduli)
     if lattice and isinstance(spec, (ConvImage, CyclicTranslates)):
         pattern = spec.kernel.blocks if isinstance(spec, ConvImage) else _unit_generator(spec, p)
@@ -962,14 +923,6 @@ def outer_rank(spec: SubspaceSpec, omega: FiniteSubset, p: float) -> int:
         h = spec.kernel
         if _full_row_rank(min(h.blocks, key=lambda sb: sb[0])[1]):
             return len(omega) * h.dim_in - len(_interior_rows(h, omega)) * h.dim_out
-    if isinstance(spec, DirectSum):
-        return outer_rank(spec.left, omega, p) + outer_rank(spec.right, omega, p)
-    if isinstance(spec, Annihilator):
-        return outer_rank(annihilator_spec(spec.base), omega, p)
-    if isinstance(spec, Reduced):
-        return outer_rank(spec.base, _expanded_window(omega, spec.index), p)
-    if isinstance(spec, Induced):
-        return sum(outer_rank(spec.base, part, p) for _, part in _coset_slices(omega, spec.index))
     return _window_model(spec, omega, p, "outer").rank()
 
 

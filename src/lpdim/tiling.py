@@ -79,7 +79,9 @@ def interior(omega: FiniteSubset, shape: FiniteSubset) -> FiniteSubset:
     """omega minus its shape-boundary.
 
     When the shape contains the identity this equals the set of translators
-    whose whole tile sits inside omega, which is how the packing scan uses it.
+    whose whole tile sits inside omega.  The packing and quasi-tiling scans
+    do not call it: _inside_translators lists those translators directly,
+    for shapes without the identity too.
     """
     return omega.difference(boundary(omega, shape))
 

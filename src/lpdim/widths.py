@@ -4,14 +4,18 @@ The central quantity is the diameter cut count of a body X inside a normed
 window: the smallest codimension of a linear subspace whose intersection
 with X has diameter at most eps.  For ellipsoids in the Euclidean window it
 equals the number of semiaxes sigma with 2 sigma > eps, which is what makes
-p = 2 exactly computable.  Away from p = 2 the module returns a bracket
-obtained from norm-comparison constants on the coordinate count actually
-carrying the body, plus a certificate for inscribed l1 balls that pins
-full-rank bodies down exactly at p = 1.  That certificate lifts every window
-coordinate at once through one SVD (pseudoinverse plus null-space basis),
-minimises each lift's full-space l1 cost over the null space (closed form
-for up to one null direction, a small LP per coordinate beyond), and folds
-the recomputed residual of the final lifts into the radius.
+p = 2 exactly computable; ldim_hilbert is that case of ldim_bracket.  Away
+from p = 2 the module returns a bracket obtained from norm-comparison
+constants on the coordinate count actually carrying the body, plus a
+certificate for inscribed l1 balls that pins full-rank bodies down exactly
+at p = 1.  That certificate lifts every window coordinate at once through
+one SVD (pseudoinverse plus null-space basis), minimises each lift's
+full-space l1 cost over the null space (closed form for up to one null
+direction, a small LP per coordinate beyond), and folds the recomputed
+residual of the final lifts into the radius.
+
+Every rank and nullity here is numerical_rank of a spectrum; only the
+whitening of inner Grams keeps its own cutoff, RANK_RTOL squared.
 
 Also here: entrywise and operator norms (exact closed forms where they
 exist, certified brackets elsewhere), the Mazur duality map, a projected
@@ -22,12 +26,22 @@ residual certificate, and a defect check for almost-identity operators.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import COUNT_TOL, RANK_RTOL, check_exponent, conjugate_exponent, lp_norm, rng_for
+from ._util import (
+    COUNT_TOL,
+    RANK_RTOL,
+    check_exponent,
+    conjugate_exponent,
+    lp_norm,
+    numerical_rank,
+    rng_for,
+    to_float,
+)
 from .errors import CapabilityError
 from .spaces import WindowModel
 
@@ -119,9 +133,7 @@ def ellipsoid_map(model: WindowModel) -> np.ndarray:
     if model.num_columns == 0:
         return np.zeros((mat.shape[0], 0))
     if model.polarity in ("outer", "exact"):
-        u, s, _ = np.linalg.svd(mat, full_matrices=False)
-        keep = s > s[0] * RANK_RTOL if s.size and s[0] > 0 else np.zeros(0, dtype=bool)
-        return u[:, keep]
+        return _orthonormal_span(mat)
     full = model.full_matrix if model.full_matrix is not None else mat
     gram = full.T @ full
     lam, vecs = np.linalg.eigh(gram)
@@ -163,7 +175,7 @@ def seminorm_cut_count(b: np.ndarray, rows: Sequence[int], eps: float) -> int:
 
 
 def ldim_hilbert(model: WindowModel, eps: float) -> int:
-    """Exact diameter cut count at p = 2 (semiaxis count, ties excluded).
+    """Exact diameter cut count at p = 2: ldim_bracket's lo, equal to its hi.
 
     Semiaxes within the counting guard of the boundary are treated as ties
     and excluded, so a tie survives the roundoff in the whitening step.
@@ -172,11 +184,7 @@ def ldim_hilbert(model: WindowModel, eps: float) -> int:
         raise CapabilityError("the exact route needs p = 2; use ldim_bracket")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    if eps >= 2.0:
-        return 0
-    if model.polarity in ("outer", "exact"):
-        return model.rank()
-    return int(np.sum(2.0 * singular_profile(model) > eps + COUNT_TOL))
+    return ldim_bracket(model, eps)[0]
 
 
 def inscribed_l1_radius(model: WindowModel) -> float:
@@ -203,7 +211,7 @@ def inscribed_l1_radius(model: WindowModel) -> float:
     mat = model.matrix
     n, k = mat.shape
     u, s, vt = np.linalg.svd(mat)
-    if n == 0 or np.sum(s > s[0] * RANK_RTOL) < n:
+    if n == 0 or numerical_rank(s) < n:
         return 0.0
     d = k - n
     if d >= 2 and n > _LP_CLAMP_MAX_DIM:
@@ -418,10 +426,22 @@ def mazur(values: np.ndarray, p: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverSettings:
+    """Stopping rules of nearest_point; bad values raise ValueError."""
+
     max_iter: int = 10000
     tol: float = 1e-8
     initial_step: float = 1.0
     polish: bool = True
+
+    def __post_init__(self):
+        kinds = {"max_iter": (numbers.Integral, "integer"), "tol": (numbers.Real, "number"),
+                 "initial_step": (numbers.Real, "number")}
+        for name, (kind, noun) in kinds.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind) or not 0 < to_float(value) < math.inf:
+                raise ValueError(f"{name} must be a positive finite {noun}, got {value!r}")
+        if not isinstance(self.polish, bool):
+            raise ValueError(f"polish must be true or false, got {self.polish!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,13 +456,14 @@ class NearestPointResult:
 
 
 def _orthonormal_span(basis: np.ndarray) -> np.ndarray:
+    """The first numerical_rank left singular vectors of basis."""
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[1] == 0:
         return np.zeros((basis.shape[0] if basis.ndim == 2 else 0, 0))
     u, s, _ = np.linalg.svd(basis, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((basis.shape[0], 0))
-    return u[:, s > s[0] * RANK_RTOL]
+    # select by index array, not slice: the F-contiguous copy fixes the
+    # rounding of later products, which reports depend on bit for bit
+    return u[:, np.arange(numerical_rank(s))]
 
 
 def _kkt_state(q: np.ndarray, target: np.ndarray, x: np.ndarray, p: float, ball: bool):
@@ -611,9 +632,7 @@ def kernel_defect_check(op: np.ndarray, p: float) -> KernelDefectReport:
         return KernelDefectReport(0.0, 0, 0.0, True)
     gap = op - np.eye(n)
     defect = float(max(lp_norm(gap[:, j], p) for j in range(n)))
-    svals = np.linalg.svd(op, compute_uv=False)
-    top = float(svals[0]) if svals.size else 0.0
-    nullity = int(np.sum(svals < top * RANK_RTOL)) if top > 0.0 else n
+    nullity = n - numerical_rank(np.linalg.svd(op, compute_uv=False))
     bound = n * defect * defect
     return KernelDefectReport(
         defect=defect,

@@ -6,13 +6,16 @@ underneath the suite.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings as hyp_settings, strategies as st
 
 from lpdim import cli
 from lpdim.scenarios import REGISTRY, get_scenario, scenario_names
@@ -250,3 +253,144 @@ def test_jobs_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("LPDIM_JOBS", "not-a-number")
     assert cli.main(["run", "--scenario", "full", "--windows", "2",
                      "--eps", "0.5"]) == 2
+
+
+def test_bad_config_values_exit_2(tmp_path, capsys):
+    dn = {"scenario": "cyclic", "p": 1.5, "windows": [4], "eps": [0.5]}
+    run_cases = [
+        ({"scenario": "full", "windows": [2], "eps": [0.5], "diagnostics": 5}, "diagnostics"),
+        ({"scenario": [1], "windows": [2], "eps": [0.5]}, "scenario"),
+        ({"scenario": "full", "windows": [2], "eps": [0.5], "jobs": None}, "jobs"),
+    ]
+    for settings, message in (
+        ({"bogus": 1}, "bogus"),
+        ({"tol": "x"}, "tol"),
+        ({"tol": -1}, "tol"),
+        ({"tol": math.inf}, "tol"),
+        ({"max_iter": None}, "max_iter"),
+        ({"max_iter": 0}, "max_iter"),
+        ({"initial_step": 0}, "initial_step"),
+        ({"polish": 1}, "polish"),
+    ):
+        run_cases.append(({**dn, "diagnostics": {"dn": True, "dn_settings": settings}}, message))
+    cfg = tmp_path / "bad.json"
+    for config, message in run_cases:
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["run", "--config", str(cfg)]) == 2, config
+        assert message in capsys.readouterr().err
+    for config, message in (({"only": 5}, "only"), ({"only": [1]}, "only"), ({"seed": None}, "seed")):
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["verify", "--config", str(cfg)]) == 2, config
+        assert message in capsys.readouterr().err
+
+
+def test_config_integers_beyond_the_float_range_read_as_infinity(tmp_path, capsys):
+    cfg = tmp_path / "big.json"
+    cfg.write_text('{"scenario": "full", "windows": [2], "eps": [0.5], "p": 1%s}' % ("0" * 400))
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    assert "p=inf" in capsys.readouterr().out
+    cfg.write_text('{"scenario": "full", "windows": [2], "eps": [1%s]}' % ("0" * 400))
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+# Any JSON value, kept small, for the keys where any value is cheap to refuse
+# or to run.  Windows and job counts take their junk from narrower pools, so
+# that no example builds a window above index 32 or asks for many threads.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=5,
+)
+_JUNK = st.sampled_from([None, True, "2", 2.5, math.nan, math.inf, -1, 0, [], {}, [1], {"a": 1}])
+_WINDOW_JUNK = (
+    st.lists(st.integers(-2, 32) | _JUNK, max_size=3)
+    | _JUNK
+    | st.sampled_from([[10**6], [1e300], [10**400]])
+)
+_SMALL_INT_JUNK = st.integers(-2, 0) | _JUNK
+
+
+def _config(keys: dict, required=()):
+    """A config dict with well-formed values, but for at most one key junk.
+
+    keys maps each key to (well-formed strategy, junk strategy).  Optional
+    keys are left out at random, and one drawn key (or none) takes junk, so
+    every other value is valid and the example reaches the code behind it.
+    """
+
+    @st.composite
+    def build(draw):
+        config = {
+            key: draw(good) for key, (good, _) in keys.items()
+            if key in required or draw(st.booleans())
+        }
+        bad = draw(st.sampled_from([None, *keys]))
+        if bad is not None:
+            config[bad] = draw(keys[bad][1])
+        return config
+
+    return build()
+
+
+_SETTINGS = _config(
+    {
+        "max_iter": (st.integers(1, 50), _SMALL_INT_JUNK),
+        "tol": (st.floats(1e-12, 1e-2), _JSON),
+        "initial_step": (st.floats(1e-3, 10.0), _JSON),
+        "polish": (st.booleans(), _JSON),
+    }
+)
+_JOBS = (st.integers(1, 3), _SMALL_INT_JUNK)
+_RUN_CONFIG = _config(
+    {
+        "scenario": (st.sampled_from(scenario_names()), _JSON),
+        "windows": (
+            st.lists(st.integers(1, 32), min_size=1, max_size=3, unique=True).map(sorted),
+            _WINDOW_JUNK,
+        ),
+        "p": (st.sampled_from([1, 1.5, 2, 3, "inf", "2"]) | st.floats(1.0, 8.0), _JSON),
+        "eps": (
+            st.lists(st.floats(1e-3, 2.5), min_size=1, max_size=3, unique=True).map(
+                lambda cuts: sorted(cuts, reverse=True)
+            ),
+            _JSON,
+        ),
+        "jobs": _JOBS,
+        "diagnostics": (
+            st.fixed_dictionaries({"dn": st.just(True)}, optional={"dn_settings": _SETTINGS}),
+            _JSON,
+        ),
+    },
+    required=("scenario", "windows"),
+)
+_VERIFY_CONFIG = _config(
+    {
+        "only": (st.sampled_from(["grid", "duality", ["kkt", "tiling"]]), _JSON),
+        "seed": (st.integers(0, 2**40), _JSON),
+        "jobs": _JOBS,
+    }
+)
+
+
+def _exit_code(command: str, config: dict) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        return cli.main([command, "--config", str(path)])
+
+
+# derandomized so that every run of the suite tries the same examples
+_BOUNDARY = dict(deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+
+
+@hyp_settings(max_examples=80, **_BOUNDARY)
+@given(config=_RUN_CONFIG)
+def test_run_config_boundary_exits_with_a_documented_code(config):
+    assert _exit_code("run", config) in (0, 2, 3, 4)
+
+
+@hyp_settings(max_examples=10, **_BOUNDARY)
+@given(config=_VERIFY_CONFIG)
+def test_verify_config_boundary_exits_with_a_documented_code(config):
+    assert _exit_code("verify", config) in (0, 2, 3, 4)

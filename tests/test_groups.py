@@ -7,12 +7,11 @@ from lpdim.errors import StructureError
 from lpdim.groups import (
     FiniteSubset,
     GroupSpec,
-    compose,
+    compose_coords,
     folner_size,
     folner_window,
-    invert,
+    invert_coords,
     parse_group,
-    translate_set,
 )
 from lpdim.tiling import alpha_fraction
 
@@ -28,53 +27,60 @@ def random_element(spec, rng):
     coords = []
     for m in spec.moduli:
         coords.append(int(rng.integers(-20, 21)) if m == 0 else int(rng.integers(0, m)))
-    return spec.element(*coords)
+    return spec.check_coords(coords)
+
+
+def translate(spec, g, subset):
+    """g * S through the coordinate law, back in canonical order."""
+    return FiniteSubset.of(spec, [compose_coords(spec, g, c) for c in subset])
 
 
 def test_compose_examples():
-    assert compose(Z.element(3), Z.element(4)).coords == (7,)
-    assert compose(C5.element(3), C5.element(4)).coords == (2,)
-    assert compose(ZxC3.element(1, 2), ZxC3.element(2, 2)).coords == (3, 1)
+    assert compose_coords(Z, (3,), (4,)) == (7,)
+    assert compose_coords(C5, (3,), (4,)) == (2,)
+    assert compose_coords(ZxC3, (1, 2), (2, 2)) == (3, 1)
 
 
 def test_invert_examples():
-    assert invert(Z.element(3)).coords == (-3,)
-    assert invert(C5.element(3)).coords == (2,)
-    assert invert(Z2.element(1, -2)).coords == (-1, 2)
+    assert invert_coords(Z, (3,)) == (-3,)
+    assert invert_coords(C5, (3,)) == (2,)
+    assert invert_coords(Z2, (1, -2)) == (-1, 2)
 
 
 def test_group_laws_on_random_triples():
     """Associativity and two-sided inverses, 1000 triples per group."""
     for spec in ALL_SPECS:
         rng = rng_for(7, "laws", spec.describe())
-        e = spec.identity()
+        e = (0,) * spec.rank
         for _ in range(1000):
             a, b, c = (random_element(spec, rng) for _ in range(3))
-            assert compose(compose(a, b), c) == compose(a, compose(b, c))
-            assert compose(a, invert(a)) == e
-            assert compose(invert(a), a) == e
+            ab = compose_coords(spec, a, b)
+            assert compose_coords(spec, ab, c) == compose_coords(spec, a, compose_coords(spec, b, c))
+            assert compose_coords(spec, a, invert_coords(spec, a)) == e
+            assert compose_coords(spec, invert_coords(spec, a), a) == e
 
 
 def test_cross_group_composition_rejected():
+    """Coordinates of one group are refused where another's are expected."""
     with pytest.raises(StructureError):
-        compose(Z.element(1), C5.element(1))
+        Z2.check_coords((1,))
     with pytest.raises(StructureError):
-        Z2.element(1)
+        FiniteSubset.of(Z2, [(1,)])
 
 
 def test_cyclic_coordinates_reduced():
-    assert C5.element(12).coords == (2,)
-    assert C5.element(-1).coords == (4,)
-    assert ZxC3.element(-4, 7).coords == (-4, 1)
+    assert C5.check_coords((12,)) == (2,)
+    assert C5.check_coords((-1,)) == (4,)
+    assert ZxC3.check_coords((-4, 7)) == (-4, 1)
 
 
 def test_translate_examples():
     om = FiniteSubset.of(Z, [0, 1, 2])
-    assert translate_set(Z.element(2), om).elements == ((2,), (3,), (4,))
+    assert translate(Z, (2,), om).elements == ((2,), (3,), (4,))
     c4 = GroupSpec.cyclic(4)
-    wrapped = translate_set(c4.element(3), FiniteSubset.of(c4, [0, 1]))
+    wrapped = translate(c4, (3,), FiniteSubset.of(c4, [0, 1]))
     assert wrapped.elements == ((0,), (3,))
-    assert translate_set(Z.element(0), om) == om
+    assert translate(Z, (0,), om) == om
 
 
 def test_translate_preserves_count_and_composition():
@@ -84,9 +90,9 @@ def test_translate_preserves_count_and_composition():
         for _ in range(200):
             g = random_element(spec, rng)
             h = random_element(spec, rng)
-            gh = compose(g, h)
-            assert len(translate_set(g, base)) == len(base)
-            assert translate_set(gh, base) == translate_set(g, translate_set(h, base))
+            gh = compose_coords(spec, g, h)
+            assert len(translate(spec, g, base)) == len(base)
+            assert translate(spec, gh, base) == translate(spec, g, translate(spec, h, base))
 
 
 def test_finite_subset_dedups_and_sorts():

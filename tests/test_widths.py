@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lpdim._util import conjugate_exponent, lp_norm, rng_for
+from lpdim._util import conjugate_exponent, lp_norm, numerical_rank, rng_for
 from lpdim.errors import CapabilityError
 from lpdim.groups import FiniteSubset, GroupSpec, folner_window
 from lpdim.scenarios import near_dirac_translates
@@ -563,6 +563,64 @@ def test_kernel_defect_law_on_planted_kernels():
                 assert report.consistent
                 if np.all(noise == 0.0):
                     assert report.nullity == k
+
+
+# ------------------------------------------------------------- rank rule
+
+
+def test_numerical_rank_counts_above_the_relative_cutoff():
+    assert numerical_rank([]) == 0
+    assert numerical_rank([0.0, 0.0]) == 0
+    assert numerical_rank([2.0, 1e-3, 0.0]) == 2
+    assert numerical_rank([1.0, 1e-9]) == 1
+
+
+def test_every_rank_decision_follows_the_one_tolerance(monkeypatch):
+    """Moving RANK_RTOL in one place moves every rank, basis and nullity."""
+    from lpdim import _util
+    from lpdim.spaces import _null_space
+    from lpdim.widths import _orthonormal_span
+
+    mat = np.diag([1.0, 1e-6])
+    omega = interval(0, 2)
+    outer = WindowModel("diag", omega, 2.0, 1, "outer", mat)
+    inner = WindowModel("diag", omega, 1.0, 1, "inner", mat, mat, omega.elements, (1.0, 1.0))
+
+    def decisions():
+        return (
+            outer.rank(),
+            _null_space(mat).shape[1],
+            _orthonormal_span(mat).shape[1],
+            ellipsoid_map(outer).shape[1],
+            kernel_defect_check(mat, 2.0).nullity,
+            inscribed_l1_radius(inner) > 0.0,
+        )
+
+    assert decisions() == (2, 0, 2, 2, 0, True)
+    monkeypatch.setattr(_util, "RANK_RTOL", 1e-4)
+    assert decisions() == (1, 1, 1, 1, 1, False)
+
+
+def test_solver_settings_refuse_bad_values():
+    SolverSettings(max_iter=1, tol=1e-12, initial_step=0.5, polish=False)
+    for bad in (
+        {"tol": 0.0},
+        {"tol": -1.0},
+        {"tol": math.inf},
+        {"tol": math.nan},
+        {"tol": "x"},
+        {"tol": True},
+        {"max_iter": 0},
+        {"max_iter": 2.0},
+        {"max_iter": None},
+        {"initial_step": 0.0},
+        {"initial_step": -0.5},
+        {"initial_step": 10**400},
+        {"polish": 1},
+        {"polish": None},
+    ):
+        with pytest.raises(ValueError):
+            SolverSettings(**bad)
 
 
 def test_kernel_defect_validation():
