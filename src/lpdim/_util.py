@@ -69,6 +69,8 @@ def to_int(value, what: str) -> int:
 
 
 def check_exponent(p: float) -> float:
+    if isinstance(p, (bool, np.bool_)):
+        raise ValueError(f"exponent p must be a number, got {p!r}")
     p = to_float(p)
     if math.isnan(p) or p < 1:
         raise ValueError(f"exponent p must lie in [1, inf], got {p}")

@@ -158,7 +158,7 @@ class DimensionEstimate:
 
 
 def _threshold(value) -> float:
-    if not isinstance(value, numbers.Real):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"thresholds must be numbers, got {value!r}")
     return to_float(value)
 

@@ -9,7 +9,9 @@ finite window the library builds a *surrogate* of the restricted unit ball:
     subspace elements whose full-space norm is at most one, together with the
     full-space matrix over the union of their supports.  The modeled body,
     restrictions of span elements with full norm <= 1, is certified to sit
-    inside the true restricted ball.
+    inside the true restricted ball.  Kernel elements come from a null-space
+    basis, so each is checked after the fact: a column whose residual is
+    above the rounding level of its own computation is dropped.
   outer polarity: the column span provably contains every restriction, and
     the body is span intersected with the ambient unit ball, so it encloses
     the true restricted ball.  Its cut counts need only the span's rank,
@@ -660,13 +662,27 @@ def _product_coords(grp: GroupSpec, a, b) -> list[Coords]:
     return sorted({compose_coords(grp, x, y) for x in a for y in b})
 
 
-def _null_space(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space, past numerical_rank."""
+def _null_space(mat: np.ndarray, checked: bool = False) -> np.ndarray:
+    """Orthonormal basis of the null space, past numerical_rank.
+
+    checked keeps only the columns y whose computed residual |mat y|_2 is
+    within max(m, n) 2^-52 (|mat|_2 + |abs(mat)|_2): the backward error of
+    the SVD's null vectors plus the rounding of the product mat y itself,
+    with |abs(mat)|_2 bounded by sqrt(|mat|_1 |mat|_inf).  A singular value
+    that is small but not zero passes the rank rule, and its vector is no
+    element of the kernel.  Inner models need this; outer enclosures may
+    only grow, so they take the basis unchecked.
+    """
     n = mat.shape[1]
     if mat.shape[0] == 0 or n == 0:
         return np.eye(n)
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    return vh[numerical_rank(s):].T.copy()
+    basis = vh[numerical_rank(s):].T.copy()
+    if checked:
+        absolute = math.sqrt(np.abs(mat).sum(axis=0).max() * np.abs(mat).sum(axis=1).max())
+        bound = max(mat.shape) * np.finfo(float).eps * (s[0] + absolute)
+        basis = basis.compress(np.linalg.norm(mat @ basis, axis=0) <= bound, axis=1)
+    return basis
 
 
 def _conv_constraint_matrix(
@@ -690,7 +706,7 @@ def _conv_constraint_matrix(
 def _conv_kernel_inner(spec: ConvKernel, omega, p) -> WindowModel:
     h = spec.kernel
     rows = _product_coords(h.group, omega.elements, [c for c, _ in h.blocks])
-    basis = _null_space(_conv_constraint_matrix(h, rows, omega))
+    basis = _null_space(_conv_constraint_matrix(h, rows, omega), checked=True)
     return _genuine_model(
         spec.describe(), omega, p, h.dim_in, omega.elements, basis, normalize=True
     )

@@ -14,8 +14,17 @@ full-space l1 cost over the null space (closed form for up to one null
 direction, a small LP per coordinate beyond), and folds the recomputed
 residual of the final lifts into the radius.
 
-Every rank and nullity here is numerical_rank of a spectrum; only the
-whitening of inner Grams keeps its own cutoff, RANK_RTOL squared.
+An inner body is {M c : |F c|_2 <= 1}, M the window rows of the full
+matrix F and E its r off-window rows.  Every c with E c = 0 keeps its
+length, so at most r semiaxes differ from one; singular_profile factorises
+only E and the r boundary directions it picks out, never the whole window
+map, and r is the window's boundary layer.  The whitening of F^T F keeps
+eigenvalues above its own rounding level, (rows + columns) 2^-52 of the
+largest, so every kept direction, and with it every unit semiaxis, is
+genuine.
+
+Every rank and nullity here is numerical_rank of a spectrum; the whitening
+cutoff is the one eigenvalue decision outside it.
 
 Also here: entrywise and operator norms (exact closed forms where they
 exist, certified brackets elsewhere), the Mazur duality map, a projected
@@ -34,7 +43,6 @@ import numpy as np
 
 from ._util import (
     COUNT_TOL,
-    RANK_RTOL,
     check_exponent,
     conjugate_exponent,
     lp_norm,
@@ -122,38 +130,72 @@ def operator_norm(
 # -------------------------------------------------------- ellipsoid profile
 
 
+def _whitening(full: np.ndarray) -> np.ndarray:
+    """W (k x k') with F W orthonormal and the same span as F, from eigh(F^T F).
+
+    Only eigenvalues above gamma * lambda_max are kept, gamma = (rows + k)
+    2^-52 the rounding level of the Gram and its eigh: below it a computed
+    eigenvalue cannot be told from a null one, and a kept noise direction
+    would pose as a semiaxis.  Dropping a genuine direction only shrinks the
+    inner body, so lower counts stay certified.
+    """
+    rows, k = full.shape
+    lam, vecs = np.linalg.eigh(full.T @ full)
+    lam_max = float(lam[-1]) if lam.size else 0.0
+    if lam_max <= 0.0:
+        return np.zeros((k, 0))
+    keep = lam > lam_max * (rows + k) * np.finfo(float).eps
+    return vecs[:, keep] / np.sqrt(lam[keep])
+
+
+def _edge_rows(model: WindowModel) -> np.ndarray:
+    """The rows E of an inner model's full matrix at points off its window."""
+    if model.full_matrix is None:
+        return model.matrix[:0]
+    inside = model.window.coord_set
+    support = model.full_support
+    off = np.fromiter((c not in inside for c in support), dtype=bool, count=len(support))
+    return model.full_matrix[np.repeat(off, model.fiber_dim)]
+
+
 def ellipsoid_map(model: WindowModel) -> np.ndarray:
     """Matrix B with the model body equal to {B u : |u|_2 <= 1} in l2 terms.
 
-    For inner models this whitens the full-space Gram of the stored columns,
-    so B carries the restriction of the genuine span ball.  For outer and
-    exact models the body is span cap ball and B is an orthonormal basis.
+    For inner models B = M W, the window rows M of the full matrix F times
+    the whitening W of F^T F, so B carries the restriction of the genuine
+    span ball.  For outer and exact models the body is span cap ball and B
+    is an orthonormal basis.
     """
     mat = model.matrix
-    if model.num_columns == 0:
-        return np.zeros((mat.shape[0], 0))
     if model.polarity in ("outer", "exact"):
         return _orthonormal_span(mat)
     full = model.full_matrix if model.full_matrix is not None else mat
-    gram = full.T @ full
-    lam, vecs = np.linalg.eigh(gram)
-    lam_max = float(lam[-1]) if lam.size else 0.0
-    if lam_max <= 0.0:
-        return np.zeros((mat.shape[0], 0))
-    keep = lam > lam_max * RANK_RTOL ** 2
-    return mat @ (vecs[:, keep] / np.sqrt(lam[keep]))
+    return mat @ _whitening(full)
 
 
 def singular_profile(model: WindowModel) -> np.ndarray:
-    """Semiaxes of the model body seen through the l2 window, descending."""
-    b = ellipsoid_map(model)
-    if b.shape[1] == 0:
-        return np.zeros(0)
-    s = np.linalg.svd(b, compute_uv=False)
-    if model.polarity == "inner":
-        # restriction cannot expand a full-space unit vector, so clip the
-        # harmless eigenvalue noise that lands a hair above one
-        s = np.minimum(s, 1.0)
+    """Semiaxes of the model body seen through the l2 window, descending.
+
+    For inner models these are the singular values of B = M W, found from
+    the r off-window rows E of F alone.  F W is orthonormal, so
+    B^T B = I - (E W)^T (E W): every direction with E W v = 0 is a semiaxis
+    of exactly one, and only the r' = min(r, k') right singular directions V
+    of E W can be shorter.  The profile is k' - r' ones plus the singular
+    values of M W V, an n x r' map.  With r >= k' V spans everything, so V
+    is taken as the identity and this is the SVD of B itself.  Outer and
+    exact bodies are span cap ball, one unit semiaxis per rank.
+    """
+    if model.polarity in ("outer", "exact"):
+        return np.ones(_orthonormal_span(model.matrix).shape[1])
+    full = model.full_matrix if model.full_matrix is not None else model.matrix
+    w = _whitening(full)
+    k_kept = w.shape[1]
+    if full.shape[0] - model.matrix.shape[0] < k_kept:
+        w = w @ np.linalg.svd(_edge_rows(model) @ w, full_matrices=False)[2].T
+    s = np.linalg.svd(model.matrix @ w, compute_uv=False)
+    # restriction cannot expand a full-space unit vector, so clip the
+    # harmless eigenvalue noise that lands a hair above one
+    s = np.concatenate([np.ones(k_kept - w.shape[1]), np.minimum(s, 1.0)])
     return s[s > COUNT_TOL]
 
 

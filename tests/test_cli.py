@@ -261,6 +261,10 @@ def test_bad_config_values_exit_2(tmp_path, capsys):
         ({"scenario": "full", "windows": [2], "eps": [0.5], "diagnostics": 5}, "diagnostics"),
         ({"scenario": [1], "windows": [2], "eps": [0.5]}, "scenario"),
         ({"scenario": "full", "windows": [2], "eps": [0.5], "jobs": None}, "jobs"),
+        # bools are not numbers, though Python counts them as ints
+        ({"scenario": "conv_image", "windows": [8], "eps": [True], "p": True}, "exponent"),
+        ({"scenario": "conv_image", "windows": [8], "eps": [True]}, "thresholds"),
+        ({"scenario": "conv_image", "windows": [8], "eps": [0.5], "p": False}, "exponent"),
     ]
     for settings, message in (
         ({"bogus": 1}, "bogus"),

@@ -277,9 +277,12 @@ def test_estimate_grid_validation():
         with pytest.raises(ValueError, match="finite integers"):
             estimate_dimension(spec, 2.0, [2, bad], [0.5])
     assert estimate_dimension(spec, 2.0, [64.0], [0.5]).window_indices == (64,)
-    for bad in (None, "0.5", [0.5]):
+    for bad in (None, "0.5", [0.5], True, np.True_):
         with pytest.raises(ValueError, match="numbers"):
             estimate_dimension(spec, 2.0, [4], [bad])
+    for bad in (True, False, np.True_):
+        with pytest.raises(ValueError, match="exponent"):
+            estimate_dimension(spec, bad, [8], [0.5])
     for windows, eps in ((5, [0.5]), ([4], 0.5), ("4", [0.5])):
         with pytest.raises(ValueError, match="lists"):
             estimate_dimension(spec, 2.0, windows, eps)

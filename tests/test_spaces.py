@@ -300,6 +300,24 @@ def test_conv_kernel_inner_columns_really_lie_in_the_kernel():
         assert convolve(h, y).norm(math.inf) <= 1e-10
 
 
+def test_conv_kernel_inner_drops_columns_above_their_rounding_residual():
+    # h = delta_0 - r delta_1 on Z/6 with r = 1 - 1e-9: the circulant is
+    # invertible, so ker h = {0}, but its smallest singular value 1e-9 falls
+    # under the rank rule's 1e-8 relative cutoff and leaves one null column
+    from lpdim.dimension import estimate_dimension
+
+    h = ConvolutionKernel.scalar(C6, {0: 1.0, 1: -(1.0 - 1e-9)})
+    omega = folner_window(C6, 1)
+    constraints = spaces._conv_constraint_matrix(h, omega.elements, omega)
+    assert spaces._null_space(constraints).shape[1] == 1
+    assert inner_window_model(ConvKernel(h), omega, 2.0).num_columns == 0
+    (cell,) = estimate_dimension(ConvKernel(h), 2, [1], [0.5]).cells
+    assert cell.count_lo == 0 <= cell.count_hi
+    # a genuine kernel keeps every column: the constant on Z/6 under h = delta_0 - delta_1
+    exact = ConvolutionKernel.scalar(C6, {0: 1.0, 1: -1.0})
+    assert inner_window_model(ConvKernel(exact), omega, 2.0).num_columns == 1
+
+
 def test_conv_image_models_frozen_dimensions():
     omega = interval(0, 8)
     inner = inner_window_model(ConvImage(diff_kernel()), omega, 2.0)

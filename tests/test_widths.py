@@ -17,6 +17,7 @@ from lpdim.spaces import (
     Full,
     Induced,
     KerPeriodization,
+    Reduced,
     WindowModel,
     inner_window_model,
     outer_window_model,
@@ -163,6 +164,102 @@ def test_inner_profiles_never_exceed_one():
         assert prof.size > 0
         assert np.all(prof <= 1.0 + 1e-12)
         assert np.all(np.diff(prof) <= 1e-12)
+
+
+def reference_profile(model):
+    """The whole whitened map's SVD: eigh of F^T F, B = M W, clip, filter.
+
+    This is the route singular_profile took before it factorised only the
+    off-window rows, with its eigenvalue cutoff of 1e-16 times the largest.
+    """
+    full = model.full_matrix
+    if full.shape[1] == 0:
+        return np.zeros(0)
+    lam, vecs = np.linalg.eigh(full.T @ full)
+    keep = lam > lam[-1] * 1e-16
+    whitened = model.matrix @ (vecs[:, keep] / np.sqrt(lam[keep]))
+    s = np.minimum(np.linalg.svd(whitened, compute_uv=False), 1.0)
+    return s[s > 1e-9]
+
+
+def boundary_rows(model):
+    return model.full_matrix.shape[0] - model.matrix.shape[0]
+
+
+def test_boundary_profile_matches_the_whitened_map_svd():
+    z2 = GroupSpec.integer_lattice(2)
+    c6 = GroupSpec.cyclic(6)
+    rng = rng_for(8, "boundary-profile")
+    fiber_two = ConvolutionKernel.of(Z, {0: rng.normal(size=(2, 2)), 1: rng.normal(size=(2, 2))})
+    wide = ConvolutionKernel.of(Z, {0: rng.normal(size=(2, 3)), 2: rng.normal(size=(2, 3))})
+    square = ConvolutionKernel.of(z2, {(0, 0): [[1.0]], (1, 0): [[-0.5]], (0, 1): [[0.25]], (1, 1): [[2.0]]})
+    gapped = FiniteSubset.of(Z, [-3, -1, 0, 2, 3, 7])
+    scattered = FiniteSubset.of(z2, [(0, 0), (0, 2), (1, 1), (3, 2)])
+    cases = [
+        (ConvKernel(diff_kernel()), interval(0, 12)),
+        (ConvKernel(block_kernel()), gapped),
+        (ConvKernel(fiber_two), interval(0, 9)),
+        (ConvImage(diff_kernel()), interval(0, 12)),
+        (ConvImage(diff_kernel()), gapped),
+        (ConvImage(block_kernel()), interval(0, 9)),
+        (ConvImage(fiber_two), interval(0, 9)),
+        (ConvImage(wide), gapped),
+        (ConvImage(square), folner_window(z2, 5)),
+        (ConvImage(square), scattered),
+        (ConvImage(ConvolutionKernel.scalar(c6, {0: 1.0, 1: -0.5})), FiniteSubset.of(c6, [0, 1, 3])),
+        (DirectSum(ConvImage(diff_kernel()), ConvKernel(block_kernel())), interval(0, 10)),
+        (DirectSum(ConvImage(fiber_two), ConvImage(diff_kernel())), gapped),
+        (Induced(ConvImage(diff_kernel()), 2), interval(0, 11)),
+        (Induced(ConvImage(block_kernel()), 3), gapped),
+        (Reduced(ConvImage(diff_kernel()), 2), interval(0, 6)),
+        (Reduced(ConvImage(fiber_two), 2), FiniteSubset.of(Z, [0, 2, 5])),
+    ]
+    models = [inner_window_model(spec, omega, 2.0) for spec, omega in cases]
+    models += [ellipsoid_model(sig) for sig in ([0.9, 0.5, 0.2, 0.05], [1.0, 0.3, 0.0])]
+    regimes = {"r = 0": 0, "0 < r < k'": 0, "r >= k'": 0}
+    for model in models:
+        r = boundary_rows(model)
+        k_kept = np.linalg.matrix_rank(model.full_matrix)
+        regimes["r = 0" if r == 0 else "0 < r < k'" if r < k_kept else "r >= k'"] += 1
+        got, want = singular_profile(model), reference_profile(model)
+        assert got.shape == want.shape, model.label
+        assert np.allclose(got, want, rtol=0.0, atol=1e-9), model.label
+        assert np.all(np.diff(got) <= 0.0)
+    assert regimes == {"r = 0": 3, "0 < r < k'": 12, "r >= k'": 4}
+
+
+def test_whitening_drops_eigenvalues_below_their_rounding_level():
+    # a 1x2 kernel's image on 9 points: the 20 translate columns span the 11
+    # points they touch, and eigh reads the 9 null Gram eigenvalues as about
+    # +-2e-16 of the largest; a cutoff below that level kept some of them,
+    # and each kept one posed as a unit semiaxis
+    rng = rng_for(0, "one-by-two")
+    h = ConvolutionKernel.of(Z, {0: rng.normal(size=(1, 2)), 1: rng.normal(size=(1, 2))})
+    omega = folner_window(Z, 9)
+    model = inner_window_model(ConvImage(h), omega, 2.0)
+    assert model.num_columns == 20
+    prof = singular_profile(model)
+    assert prof.size <= len(omega) * model.fiber_dim
+    assert ellipsoid_map(model).shape[1] == np.linalg.matrix_rank(model.full_matrix) == 11
+
+
+def test_conv_image_profile_factorises_only_the_boundary(monkeypatch):
+    from lpdim.scenarios import REGISTRY
+
+    model = inner_window_model(REGISTRY["conv_image"].build(), folner_window(Z, 256), 2.0)
+    r = boundary_rows(model)
+    assert 0 < r <= 2 and model.num_columns > 250
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    prof = singular_profile(model)
+    assert shapes and all(min(shape) <= r for shape in shapes), shapes
+    assert prof.size == model.matrix.shape[0]
 
 
 def test_ldim_hilbert_frozen_counts_and_tie_exclusion():
