@@ -8,21 +8,21 @@ import zlib
 
 import numpy as np
 
-# Relative singular-value threshold of numerical_rank, the one rank rule.
-RANK_RTOL = 1e-8
-
 # Absolute slack for comparisons of the form  |F'| >= (1 - eps) * |F|  so that
 # decimal eps values behave as written instead of as binary approximations.
 COUNT_TOL = 1e-9
 
 
-def numerical_rank(s) -> int:
-    """Count of singular values above RANK_RTOL * s[0] (s descending), 0 for
-    an empty or zero spectrum: the one rule for every rank and nullity."""
+def numerical_rank(s, shape) -> int:
+    """Count of singular values above max(m, n) 2^-52 s[0] (s descending) for
+    an m x n matrix, 0 for an empty or zero spectrum: the one rule for every
+    rank and nullity, numpy's matrix_rank rule.  By Weyl's inequality a
+    computed singular value is within that rounding level of the true one,
+    so every value above it is genuinely nonzero."""
     s = np.asarray(s)
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(s > s[0] * RANK_RTOL))
+    return int(np.count_nonzero(s > s[0] * max(shape) * np.finfo(float).eps))
 
 
 def lp_norm(x, p: float) -> float:

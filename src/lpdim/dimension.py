@@ -9,11 +9,12 @@ the outer span below diameter two, and outer_rank gives it as an exact
 structural count for translate spans, convolution kernels and their sums,
 so those grids never build or factorise an outer matrix.  A grid whose
 largest window exceeds WINDOW_BUDGET coordinates is refused before any
-window is built.  Normalizing by the window size
-puts every cell in [0, fiber_dim].  The reported value is the bracket at
-the finest corner, largest window and smallest threshold.  No
-extrapolation is performed; refining the grid is the only way to tighten
-the answer.
+window is built; the projection invariants and the translate pairing
+refuse such a window before they build a model or a packing.
+Normalizing by the window size puts every cell in [0, fiber_dim].  The
+reported value is the bracket at the finest corner, largest window and
+smallest threshold.  No extrapolation is performed; refining the grid is
+the only way to tighten the answer.
 
 Two independent routes cross-check the grid.  The duality route estimates
 the annihilator at the conjugate exponent and flips the bracket around the
@@ -62,10 +63,19 @@ from .spaces import (
 from .tiling import greedy_pack
 from .widths import SolverSettings, bracket_counts, bracket_profile, mazur, nearest_point
 
-# most window coordinates (points times fiber) a grid may ask for: 4096
-# points at fiber 3, the largest rung planned; a dense inner model of that
-# size already holds about 1.2 GB
+# most window coordinates (points times fiber) a grid, a projection or a
+# translate pairing may ask for: 4096 points at fiber 3, the largest rung
+# planned; a dense inner model of that size already holds about 1.2 GB
 WINDOW_BUDGET = 12_288
+
+
+def _check_budget(what: str, coords: int) -> None:
+    """Refuse a window of more than WINDOW_BUDGET coordinates with CapabilityError."""
+    if coords > WINDOW_BUDGET:
+        raise CapabilityError(
+            f"{what} holds {coords} coordinates (points times fiber),"
+            f" above the budget of {WINDOW_BUDGET}"
+        )
 
 
 @dataclass(frozen=True)
@@ -207,12 +217,7 @@ def estimate_dimension(
     idx, cuts = _validated_grid(windows, eps)
     workers = max(1, int(jobs))
     fiber = spec.fiber_dim
-    largest = folner_size(spec.group, idx[-1]) * fiber
-    if largest > WINDOW_BUDGET:
-        raise CapabilityError(
-            f"window {idx[-1]} holds {largest} coordinates (points times fiber),"
-            f" above the budget of {WINDOW_BUDGET}"
-        )
+    _check_budget(f"window {idx[-1]}", folner_size(spec.group, idx[-1]) * fiber)
 
     def column(i: int) -> list[GridCell]:
         omega = folner_window(spec.group, i)
@@ -365,7 +370,8 @@ def build_Q(spec: SubspaceSpec, omega: FiniteSubset, p: float):
 
     The declared tail bound is verified against the normalized generator
     first; TailBoundError carries the measured value when either check
-    fails.
+    fails.  A window over WINDOW_BUDGET coordinates raises CapabilityError
+    before the packing is built.
     """
     if not isinstance(spec, CyclicTranslates):
         raise StructureError("the translate pairing needs a single-generator description")
@@ -374,6 +380,7 @@ def build_Q(spec: SubspaceSpec, omega: FiniteSubset, p: float):
         raise CapabilityError("the positive-definiteness route is certified for p in [1, 2]")
     if omega.group != spec.group:
         raise StructureError("window and generator live over different groups")
+    _check_budget("the window", len(omega) * spec.fiber_dim)
 
     y = spec.generator
     y = y.scaled(1.0 / y.norm(p))
@@ -457,7 +464,8 @@ def D_and_N(
     """Project the point mass at the identity onto the inner model ball.
 
     Needs 1 < p < inf (strict convexity makes the nearest point unique), a
-    scalar fiber, and a window containing the identity.  Raises
+    scalar fiber, and a window containing the identity of at most
+    WINDOW_BUDGET points, checked before the model is built.  Raises
     SolverFailure when the nearest-point solve misses its residual
     tolerance.
     """
@@ -466,6 +474,7 @@ def D_and_N(
         raise CapabilityError("projection invariants need 1 < p < inf")
     if spec.fiber_dim != 1:
         raise CapabilityError("projection invariants are defined for scalar fibers")
+    _check_budget("the window", len(omega))
     ident = (0,) * spec.group.rank
     if ident not in omega:
         raise ValueError("window must contain the identity")

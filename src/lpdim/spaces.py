@@ -539,7 +539,7 @@ class WindowModel:
     def rank(self) -> int:
         if self.matrix.size == 0:
             return 0
-        return numerical_rank(np.linalg.svd(self.matrix, compute_uv=False))
+        return numerical_rank(np.linalg.svd(self.matrix, compute_uv=False), self.matrix.shape)
 
 
 def _genuine_model(
@@ -669,15 +669,15 @@ def _null_space(mat: np.ndarray, checked: bool = False) -> np.ndarray:
     within max(m, n) 2^-52 (|mat|_2 + |abs(mat)|_2): the backward error of
     the SVD's null vectors plus the rounding of the product mat y itself,
     with |abs(mat)|_2 bounded by sqrt(|mat|_1 |mat|_inf).  A singular value
-    that is small but not zero passes the rank rule, and its vector is no
-    element of the kernel.  Inner models need this; outer enclosures may
-    only grow, so they take the basis unchecked.
+    at the rank rule's cutoff may be small but not zero, and then its vector
+    is no element of the kernel.  Inner models need this; outer enclosures
+    may only grow, so they take the basis unchecked.
     """
     n = mat.shape[1]
     if mat.shape[0] == 0 or n == 0:
         return np.eye(n)
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    basis = vh[numerical_rank(s):].T.copy()
+    basis = vh[numerical_rank(s, mat.shape):].T.copy()
     if checked:
         absolute = math.sqrt(np.abs(mat).sum(axis=0).max() * np.abs(mat).sum(axis=1).max())
         bound = max(mat.shape) * np.finfo(float).eps * (s[0] + absolute)
@@ -897,8 +897,9 @@ def _coset_slices(omega: FiniteSubset, d: int) -> list[tuple[int, FiniteSubset]]
 
 
 def _full_row_rank(blk: np.ndarray) -> bool:
-    """Whether a pivot block has full row rank, with numpy's rounding-level cutoff."""
-    return blk.shape[0] <= blk.shape[1] and np.linalg.matrix_rank(blk) == blk.shape[0]
+    """Whether a pivot block has full row rank by numerical_rank."""
+    s = np.linalg.svd(blk, compute_uv=False)
+    return blk.shape[0] <= blk.shape[1] and numerical_rank(s, blk.shape) == blk.shape[0]
 
 
 def inner_window_model(spec: SubspaceSpec, omega: FiniteSubset, p: float) -> WindowModel:

@@ -27,16 +27,16 @@ Every rank and nullity here is numerical_rank of a spectrum; the whitening
 cutoff is the one eigenvalue decision outside it.
 
 Also here: entrywise and operator norms (exact closed forms where they
-exist, certified brackets elsewhere), the Mazur duality map, a projected
-descent solver for nearest points in ball-truncated spans with a KKT
-residual certificate, and a defect check for almost-identity operators.
+exist, certified brackets elsewhere), the Mazur duality map, nearest points
+in spans (damped Newton) and in ball-truncated spans (SLSQP), each with a
+KKT residual certificate, and a defect check for almost-identity operators.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -224,8 +224,8 @@ def ldim_hilbert(model: WindowModel, eps: float) -> int:
     """
     if model.p != 2.0:
         raise CapabilityError("the exact route needs p = 2; use ldim_bracket")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
     return ldim_bracket(model, eps)[0]
 
 
@@ -253,7 +253,7 @@ def inscribed_l1_radius(model: WindowModel) -> float:
     mat = model.matrix
     n, k = mat.shape
     u, s, vt = np.linalg.svd(mat)
-    if n == 0 or numerical_rank(s) < n:
+    if n == 0 or numerical_rank(s, mat.shape) < n:
         return 0.0
     d = k - n
     if d >= 2 and n > _LP_CLAMP_MAX_DIM:
@@ -377,8 +377,8 @@ def bracket_counts(profile: BracketProfile, eps: float) -> tuple[int, int]:
     rescales the metric.  At p = 1 a full-rank inscribed l1 ball upgrades the
     lower bound to the whole window dimension.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
     if eps >= 2.0:
         return 0, 0
     if profile.polarity in ("outer", "exact"):
@@ -434,8 +434,8 @@ class WidthCounts:
 def four_widths(model: WindowModel, eps: float) -> WidthCounts:
     if model.p != 2.0:
         raise CapabilityError("width quartet is computed in the p = 2 window")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
     if model.polarity in ("outer", "exact"):
         sigma = np.ones(model.rank())
     else:
@@ -468,22 +468,19 @@ def mazur(values: np.ndarray, p: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Stopping rules of nearest_point; bad values raise ValueError."""
+    """Stopping rules of nearest_point: max_iter bounds the Newton steps or
+    SLSQP iterations, tol is the first-order residual to reach.  Bad values
+    raise ValueError."""
 
     max_iter: int = 10000
     tol: float = 1e-8
-    initial_step: float = 1.0
-    polish: bool = True
 
     def __post_init__(self):
-        kinds = {"max_iter": (numbers.Integral, "integer"), "tol": (numbers.Real, "number"),
-                 "initial_step": (numbers.Real, "number")}
+        kinds = {"max_iter": (numbers.Integral, "integer"), "tol": (numbers.Real, "number")}
         for name, (kind, noun) in kinds.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind) or not 0 < to_float(value) < math.inf:
                 raise ValueError(f"{name} must be a positive finite {noun}, got {value!r}")
-        if not isinstance(self.polish, bool):
-            raise ValueError(f"polish must be true or false, got {self.polish!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,7 +502,7 @@ def _orthonormal_span(basis: np.ndarray) -> np.ndarray:
     u, s, _ = np.linalg.svd(basis, full_matrices=False)
     # select by index array, not slice: the F-contiguous copy fixes the
     # rounding of later products, which reports depend on bit for bit
-    return u[:, np.arange(numerical_rank(s))]
+    return u[:, np.arange(numerical_rank(s, basis.shape))]
 
 
 def _kkt_state(q: np.ndarray, target: np.ndarray, x: np.ndarray, p: float, ball: bool):
@@ -523,6 +520,58 @@ def _kkt_state(q: np.ndarray, target: np.ndarray, x: np.ndarray, p: float, ball:
     return value, lam
 
 
+def _clamped(q, a, p):
+    """a rescaled onto the unit ball when q a lies outside it."""
+    nn = lp_norm(q @ a, p)
+    return a / nn if nn > 1.0 else a
+
+
+def _newton_in_span(q, target, a, p, cfg):
+    """Damped Newton on phi(a) = |target - q a|_p^p; returns (a, steps).
+
+    With r = target - q a the gradient is -p q^T mazur(r) and the Hessian
+    p (p - 1) q^T diag(|r|^(p-2)) q.  Below p = 2 that weight is infinite at
+    a zero residual, so each |r_i| is taken at least at the rounding level
+    2^-52 max|r|.  Steps are halved until phi does not rise; an equal phi
+    passes, since near an optimum with a residual coordinate close to zero
+    phi stops showing progress before the gradient reaches tol.  Stops at
+    tol or when a step leaves a unchanged.
+    """
+    value = lp_norm(target - q @ a, p) ** p
+    for steps in range(cfg.max_iter):
+        r = target - q @ a
+        grad = q.T @ mazur(r, p)
+        if np.max(np.abs(grad)) <= cfg.tol:
+            return a, steps
+        size = np.maximum(np.abs(r), np.max(np.abs(r)) * np.finfo(float).eps)
+        hess = (q.T * ((p - 1.0) * size ** (p - 2.0))) @ q
+        delta, scale = np.linalg.lstsq(hess, grad, rcond=None)[0], 1.0
+        while (trial := lp_norm(target - q @ (a + scale * delta), p) ** p) > value:
+            scale *= 0.5
+        if np.array_equal(a + scale * delta, a):
+            return a, steps
+        a, value = a + scale * delta, trial
+    return a, cfg.max_iter
+
+
+def _slsqp_in_ball(q, target, a, p, cfg):
+    """SLSQP on |target - q a|_p^p subject to |q a|_p^p <= 1; returns
+    (a, iterations), the start itself if scipy fails."""
+    from scipy.optimize import minimize
+
+    ball = {"type": "ineq", "fun": lambda av: 1.0 - lp_norm(q @ av, p) ** p,
+            "jac": lambda av: -p * (q.T @ mazur(q @ av, p))}
+    try:
+        out = minimize(
+            lambda av: lp_norm(target - q @ av, p) ** p, a, method="SLSQP",
+            jac=lambda av: -p * (q.T @ mazur(target - q @ av, p)), constraints=[ball],
+            options={"maxiter": cfg.max_iter, "ftol": 1e-16},
+        )
+    except Exception:  # noqa: BLE001 - the residual reports the truth
+        return a, 0
+    return _clamped(q, np.asarray(out.x, dtype=float), p), int(out.nit)
+
+
 def nearest_point(
     target: np.ndarray,
     basis: np.ndarray,
@@ -533,106 +582,27 @@ def nearest_point(
     """Best p-norm approximation of target from a span, optionally ball-cut.
 
     Minimizes the p distance from target over span(basis), intersected with
-    the unit ball when within_ball is set, by projected descent with
-    backtracking plus an optional scipy polish.  The result always carries a
-    first-order residual (the pairing residual on a subspace, its KKT
-    analogue on the ball) instead of raising; callers needing guarantees
-    check the converged flag.
+    the unit ball when within_ball is set.  Both problems start from the l2
+    projection, clamped onto the ball in ball mode, which at p = 2 is the
+    answer.  Otherwise the subspace problem takes damped Newton steps and
+    the ball problem runs SLSQP.  The result always carries a first-order
+    residual (the pairing residual on a subspace, its KKT analogue on the
+    ball) instead of raising; callers needing guarantees check the
+    converged flag.
     """
     if not (1.0 < p < math.inf):
         raise CapabilityError("nearest_point needs p strictly between 1 and infinity")
     cfg = settings or SolverSettings()
     target = np.asarray(target, dtype=float)
     q = _orthonormal_span(basis)
-    if q.shape[1] == 0:
-        return NearestPointResult(
-            point=np.zeros_like(target),
-            coefficients=np.zeros(0),
-            distance=lp_norm(target, p),
-            kkt_residual=0.0,
-            multiplier=0.0,
-            iterations=0,
-            converged=True,
-        )
-
-    def clamp(a):
-        if not within_ball:
-            return a
-        x = q @ a
-        nn = lp_norm(x, p)
-        return a / nn if nn > 1.0 else a
-
-    if p == 2.0:
-        a = clamp(q.T @ target)
-        x = q @ a
-        resid, lam = _kkt_state(q, target, x, 2.0, within_ball)
-        return NearestPointResult(
-            point=x,
-            coefficients=a,
-            distance=lp_norm(target - x, 2.0),
-            kkt_residual=resid,
-            multiplier=lam,
-            iterations=0,
-            converged=True,
-        )
-
-    a = clamp(q.T @ target)  # warm start at the (clamped) l2 projection
-
-    def objective(av):
-        return lp_norm(target - q @ av, p) ** p
-
-    best = objective(a)
-    step = cfg.initial_step
+    a = q.T @ target
+    if within_ball:
+        a = _clamped(q, a, p)
     iters = 0
-    resid, lam = _kkt_state(q, target, q @ a, p, within_ball)
-    while iters < cfg.max_iter and resid > cfg.tol:
-        iters += 1
-        grad = q.T @ mazur(target - q @ a, p)  # descent direction for the fit
-        improved = False
-        while step > 1e-14:
-            trial = clamp(a + step * grad)
-            val = objective(trial)
-            if val < best - 1e-15:
-                a, best = trial, val
-                improved = True
-                step *= 1.5
-                break
-            step *= 0.5
-        resid, lam = _kkt_state(q, target, q @ a, p, within_ball)
-        if not improved:
-            break
-
-    if resid > cfg.tol and cfg.polish:
-        from scipy.optimize import minimize
-
-        def jac(av):
-            return -p * (q.T @ mazur(target - q @ av, p))
-
-        try:
-            if within_ball:
-                cons = {
-                    "type": "ineq",
-                    "fun": lambda av: 1.0 - lp_norm(q @ av, p) ** p,
-                    "jac": lambda av: -p * (q.T @ mazur(q @ av, p)),
-                }
-                out = minimize(
-                    objective, a, jac=jac, constraints=[cons], method="SLSQP",
-                    options={"maxiter": 500, "ftol": 1e-16},
-                )
-            else:
-                out = minimize(
-                    objective, a, jac=jac, method="BFGS",
-                    options={"maxiter": 5000, "gtol": 1e-14},
-                )
-            trial = clamp(np.asarray(out.x, dtype=float))
-            if objective(trial) <= best + 1e-12:
-                a = trial
-                best = objective(a)
-        except Exception:  # noqa: BLE001 - the residual below reports the truth
-            pass
-        resid, lam = _kkt_state(q, target, q @ a, p, within_ball)
-
+    if p != 2.0 and _kkt_state(q, target, q @ a, p, within_ball)[0] > cfg.tol:
+        a, iters = (_slsqp_in_ball if within_ball else _newton_in_span)(q, target, a, p, cfg)
     x = q @ a
+    resid, lam = _kkt_state(q, target, x, p, within_ball)
     return NearestPointResult(
         point=x,
         coefficients=a,
@@ -640,7 +610,7 @@ def nearest_point(
         kkt_residual=resid,
         multiplier=lam,
         iterations=iters,
-        converged=bool(resid <= cfg.tol),
+        converged=bool(p == 2.0 or resid <= cfg.tol),
     )
 
 
@@ -674,7 +644,7 @@ def kernel_defect_check(op: np.ndarray, p: float) -> KernelDefectReport:
         return KernelDefectReport(0.0, 0, 0.0, True)
     gap = op - np.eye(n)
     defect = float(max(lp_norm(gap[:, j], p) for j in range(n)))
-    nullity = n - numerical_rank(np.linalg.svd(op, compute_uv=False))
+    nullity = n - numerical_rank(np.linalg.svd(op, compute_uv=False), op.shape)
     bound = n * defect * defect
     return KernelDefectReport(
         defect=defect,

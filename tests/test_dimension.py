@@ -314,6 +314,19 @@ def test_window_budget_is_checked_before_any_window_is_built(monkeypatch):
             estimate_dimension(spec, 2.0, [index], [0.5])
     with pytest.raises(CapabilityError, match="budget"):
         estimate_dimension(Full(GroupSpec((0, 3)), 1), 2.0, [4097], [0.5])
+    # windows handed in by the caller: refused before any model or packing
+    def nothing_built(*args):
+        raise Admitted("a model or a packing")
+
+    monkeypatch.setattr(dimension, "inner_window_model", nothing_built)
+    monkeypatch.setattr(dimension, "greedy_pack", nothing_built)
+    delta = CyclicTranslates(SupportedMap.delta(Z, 0), FiniteSubset.of(Z, [0]), 0.0)
+    for points, outcome in ((WINDOW_BUDGET + 1, CapabilityError), (WINDOW_BUDGET, Admitted)):
+        omega = FiniteSubset.of(Z, range(points))
+        with pytest.raises(outcome):
+            D_and_N(Full(Z, 1), 1.5, omega)
+        with pytest.raises(outcome):
+            build_Q(delta, omega, 1.0)
 
 
 def test_estimate_invariants_across_specs():

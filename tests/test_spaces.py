@@ -300,12 +300,18 @@ def test_conv_kernel_inner_columns_really_lie_in_the_kernel():
         assert convolve(h, y).norm(math.inf) <= 1e-10
 
 
-def test_conv_kernel_inner_drops_columns_above_their_rounding_residual():
+def test_conv_kernel_inner_drops_columns_above_their_rounding_residual(monkeypatch):
     # h = delta_0 - r delta_1 on Z/6 with r = 1 - 1e-9: the circulant is
-    # invertible, so ker h = {0}, but its smallest singular value 1e-9 falls
-    # under the rank rule's 1e-8 relative cutoff and leaves one null column
+    # invertible, so ker h = {0}.  A rank rule that undercounts (here the old
+    # 1e-8 relative cutoff) leaves one null column, of residual 1e-9, which
+    # the residual check must drop
     from lpdim.dimension import estimate_dimension
 
+    def undercount(s, shape):
+        s = np.asarray(s)
+        return int(np.count_nonzero(s > 1e-8 * s[0])) if s.size and s[0] > 0.0 else 0
+
+    monkeypatch.setattr(spaces, "numerical_rank", undercount)
     h = ConvolutionKernel.scalar(C6, {0: 1.0, 1: -(1.0 - 1e-9)})
     omega = folner_window(C6, 1)
     constraints = spaces._conv_constraint_matrix(h, omega.elements, omega)
@@ -316,6 +322,20 @@ def test_conv_kernel_inner_drops_columns_above_their_rounding_residual():
     # a genuine kernel keeps every column: the constant on Z/6 under h = delta_0 - delta_1
     exact = ConvolutionKernel.scalar(C6, {0: 1.0, 1: -1.0})
     assert inner_window_model(ConvKernel(exact), omega, 2.0).num_columns == 1
+
+
+def test_rank_rule_counts_singular_values_above_their_rounding_level():
+    # the same h: its smallest singular value 1e-9 is far above the rounding
+    # level 6 2^-52, so ker h = {0} and im h is all of l2(Z/6)
+    from lpdim.dimension import estimate_dimension
+
+    h = ConvolutionKernel.scalar(C6, {0: 1.0, 1: -(1.0 - 1e-9)})
+    (cell,) = estimate_dimension(ConvKernel(h), 2, [1], [0.5]).cells
+    assert (cell.count_lo, cell.count_hi) == (0, 0)
+    # hi is the true count 6; lo stays 5, as the whitening soundly drops the
+    # Gram eigenvalue 1e-18, below its own rounding level
+    cells = estimate_dimension(ConvImage(h), 2, [1], [0.5, 1e-3]).cells
+    assert [(c.count_lo, c.count_hi) for c in cells] == [(5, 6), (5, 6)]
 
 
 def test_conv_image_models_frozen_dimensions():

@@ -269,8 +269,9 @@ def test_ldim_hilbert_frozen_counts_and_tie_exclusion():
     assert ldim_hilbert(model, 0.05) == 4
     assert ldim_hilbert(model, 2.0) == 0
     assert ldim_hilbert(model, 5.0) == 0
-    with pytest.raises(ValueError):
-        ldim_hilbert(model, 0.0)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            ldim_hilbert(model, bad)
     at_p1 = ellipsoid_model([0.9], p=1.0)
     with pytest.raises(CapabilityError):
         ldim_hilbert(at_p1, 0.5)
@@ -357,6 +358,23 @@ def test_bracket_exact_for_span_ball_bodies_at_every_p():
             for eps in (1.9, 1.0, 0.1):
                 assert ldim_bracket(model, eps) == (size, size)
             assert ldim_bracket(model, 2.0) == (0, 0)
+
+
+def test_thresholds_that_are_not_positive_are_refused():
+    # NaN too: it fails every comparison, so a test of eps <= 0 lets it
+    # through to made-up counts, such as (16, 16) from the outer model
+    omega = interval(0, 16)
+    inner = inner_window_model(ConvImage(diff_kernel()), omega, 2.0)
+    outer = outer_window_model(ConvImage(diff_kernel()), omega, 2.0)
+    for bad in (0.0, -1.0, -math.inf, math.nan):
+        for call in (
+            lambda: ldim_bracket(inner, bad),
+            lambda: ldim_bracket(outer, bad),
+            lambda: four_widths(inner, bad),
+            lambda: four_widths(outer, bad),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_bracket_collapses_at_p_two():
@@ -572,17 +590,39 @@ def test_nearest_point_matches_the_closed_form_at_p_two():
     assert np.allclose(half.point, [0.5, 0.5], atol=1e-12)
 
 
+def _suite_kkt_instance(seed, trial):
+    """The (basis, target) of the suite's projection-kkt check at seed and trial."""
+    rng = rng_for(seed, "suite", "projection-kkt")
+    for _ in range(trial + 1):
+        n = int(rng.integers(3, 16))
+        k = int(rng.integers(1, min(n, 5)))
+        basis = rng.standard_normal((n, k))
+        target = rng.standard_normal(n)
+    return basis, target
+
+
 def test_nearest_point_subspace_instances_reach_tight_residuals():
     rng = rng_for(303, "nearest-subspace")
+    cases = []
     for p in (1.5, 3.0):
         for _ in range(15):
             n, k = int(rng.integers(3, 33)), int(rng.integers(1, 6))
             basis = rng.normal(size=(n, k))
-            target = rng.normal(size=n) * float(rng.uniform(0.3, 3.0))
-            out = nearest_point(target, basis, p, within_ball=False)
-            assert out.kkt_residual <= 1e-6, (p, out.kkt_residual)
-            q, _ = np.linalg.qr(basis)
-            assert lp_norm(out.point - q @ (q.T @ out.point), 2.0) <= 1e-8
+            cases.append((basis, rng.normal(size=n) * float(rng.uniform(0.3, 3.0)), p))
+    # suite seed 1205: n = 9, k = 3, whose p = 1.5 optimum has a residual
+    # coordinate of 1.4e-10, where the objective stops showing progress
+    basis, target = _suite_kkt_instance(1205, 10)
+    assert basis.shape == (9, 3)
+    cases.append((basis, target, 1.5))
+    # an exactly zero residual at the l2 start: below p = 2 its Hessian
+    # weight |r|^(p-2) is infinite
+    coordinate = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+    cases += [(coordinate, np.array([1.0, 3.0, 0.0, 0.0]), p) for p in (1.1, 1.5)]
+    for basis, target, p in cases:
+        out = nearest_point(target, basis, p, within_ball=False)
+        assert out.kkt_residual <= 1e-6, (p, out.kkt_residual)
+        q, _ = np.linalg.qr(basis)
+        assert lp_norm(out.point - q @ (q.T @ out.point), 2.0) <= 1e-8
     inside = nearest_point(np.array([0.2, 0.2]), np.array([[1.0], [1.0]]), 3.0)
     assert inside.distance <= 1e-8  # target already feasible
     assert inside.converged
@@ -666,16 +706,32 @@ def test_kernel_defect_law_on_planted_kernels():
 
 
 def test_numerical_rank_counts_above_the_relative_cutoff():
-    assert numerical_rank([]) == 0
-    assert numerical_rank([0.0, 0.0]) == 0
-    assert numerical_rank([2.0, 1e-3, 0.0]) == 2
-    assert numerical_rank([1.0, 1e-9]) == 1
+    eps = np.finfo(float).eps
+    assert numerical_rank([], (0, 3)) == 0
+    assert numerical_rank([0.0, 0.0], (2, 2)) == 0
+    assert numerical_rank([2.0, 1e-3, 0.0], (3, 3)) == 2
+    # a singular value far below 1e-8 s[0] is still genuinely nonzero
+    assert numerical_rank([1.0, 1e-9], (2, 2)) == 2
+    # the cutoff is max(m, n) 2^-52 s[0], on both sides and in both orientations
+    for shape in ((4, 2), (2, 4)):
+        assert numerical_rank([3.0, 3.0 * 4.5 * eps], shape) == 2
+        assert numerical_rank([3.0, 3.0 * 3.5 * eps], shape) == 1
+    # and it is numpy's matrix_rank rule
+    rng = rng_for(668, "rank-rule")
+    for _ in range(40):
+        m, n = (int(v) for v in rng.integers(1, 9, size=2))
+        u, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        s = np.sort(10.0 ** rng.uniform(-17.0, 0.0, size=min(m, n)))[::-1]
+        mat = u[:, : s.size] @ np.diag(s) @ v[:, : s.size].T
+        spectrum = np.linalg.svd(mat, compute_uv=False)
+        assert numerical_rank(spectrum, mat.shape) == np.linalg.matrix_rank(mat)
 
 
 def test_every_rank_decision_follows_the_one_tolerance(monkeypatch):
-    """Moving RANK_RTOL in one place moves every rank, basis and nullity."""
-    from lpdim import _util
-    from lpdim.spaces import _null_space
+    """Coarsening numerical_rank moves every rank, basis, nullity and pivot test."""
+    from lpdim import spaces, widths
+    from lpdim.spaces import _full_row_rank, _null_space
     from lpdim.widths import _orthonormal_span
 
     mat = np.diag([1.0, 1e-6])
@@ -691,15 +747,21 @@ def test_every_rank_decision_follows_the_one_tolerance(monkeypatch):
             ellipsoid_map(outer).shape[1],
             kernel_defect_check(mat, 2.0).nullity,
             inscribed_l1_radius(inner) > 0.0,
+            _full_row_rank(mat),
         )
 
-    assert decisions() == (2, 0, 2, 2, 0, True)
-    monkeypatch.setattr(_util, "RANK_RTOL", 1e-4)
-    assert decisions() == (1, 1, 1, 1, 1, False)
+    def coarse(s, shape):
+        s = np.asarray(s)
+        return int(np.count_nonzero(s > 1e-4 * s[0])) if s.size and s[0] > 0.0 else 0
+
+    assert decisions() == (2, 0, 2, 2, 0, True, True)
+    for module in (spaces, widths):
+        monkeypatch.setattr(module, "numerical_rank", coarse)
+    assert decisions() == (1, 1, 1, 1, 1, False, False)
 
 
 def test_solver_settings_refuse_bad_values():
-    SolverSettings(max_iter=1, tol=1e-12, initial_step=0.5, polish=False)
+    SolverSettings(max_iter=1, tol=1e-12)
     for bad in (
         {"tol": 0.0},
         {"tol": -1.0},
@@ -710,11 +772,6 @@ def test_solver_settings_refuse_bad_values():
         {"max_iter": 0},
         {"max_iter": 2.0},
         {"max_iter": None},
-        {"initial_step": 0.0},
-        {"initial_step": -0.5},
-        {"initial_step": 10**400},
-        {"polish": 1},
-        {"polish": None},
     ):
         with pytest.raises(ValueError):
             SolverSettings(**bad)
