@@ -19,15 +19,12 @@ def ellipsoid(semiaxes):
     sig = np.asarray(semiaxes, dtype=float)
     n = sig.size
     return WindowModel(
-        label="demo-ellipsoid",
         window=FiniteSubset.of(Z, range(n)),
         p=2.0,
         fiber_dim=1,
         polarity="inner",
-        matrix=np.diag(sig),
         full_matrix=np.vstack([np.diag(sig), np.diag(np.sqrt(1.0 - sig**2))]),
         full_support=tuple((t,) for t in range(2 * n)),
-        column_norms=(1.0,) * n,
     )
 
 

@@ -3,20 +3,24 @@
 A subspace of the p-summable functions on a group is described symbolically
 (kernel or image of a finitely supported convolution, span of translates of a
 generator, periodization kernels, sums, duals, index-d reindexings).  For a
-finite window the library builds a *surrogate* of the restricted unit ball:
+finite window the library builds a *surrogate* of the restricted unit ball.
+Each model holds one matrix F over a point list that starts with the
+window's points; the window matrix M is F's leading block and the
+off-window rows E are its tail.
 
-  inner polarity: columns are restrictions of explicitly constructed
-    subspace elements whose full-space norm is at most one, together with the
-    full-space matrix over the union of their supports.  The modeled body,
+  inner polarity: F holds explicitly constructed subspace elements whose
+    full-space norm is at most one over the union of their supports, and M
+    holds their restrictions to the window.  The modeled body,
     restrictions of span elements with full norm <= 1, is certified to sit
     inside the true restricted ball.  Kernel elements come from a null-space
     basis, so each is checked after the fact: a column whose residual is
     above the rounding level of its own computation is dropped.
-  outer polarity: the column span provably contains every restriction, and
-    the body is span intersected with the ambient unit ball, so it encloses
-    the true restricted ball.  Its cut counts need only the span's rank,
-    which outer_rank reads off the structure where a pivot rule holds on
-    Z^d (any finite window, lexicographic order):
+  outer polarity: F = M has window rows only.  Its column span provably
+    contains every restriction, and the body is span intersected with the
+    ambient unit ball, so it encloses the true restricted ball.  Its cut
+    counts need only the span's rank, which outer_rank reads off the
+    structure where a pivot rule holds on Z^d (any finite window,
+    lexicographic order):
       - translate spans: the translate putting the kernel's lex-largest
         support point s* on window point x has its lex-largest window entry
         at x, with block h(s*); if that block has full row rank the rank is
@@ -27,9 +31,9 @@ finite window the library builds a *surrogate* of the restricted unit ball:
         independent and the rank is |window| * d_in - rows * d_out.
     Everything else (finite or mixed groups, deficient pivots) falls back
     to numerical_rank of the model's singular values.
-  exact polarity: the restricted ball is provably exactly span intersected
-    with the ambient ball (full space, zero space, periodic patterns at
-    p = infinity).
+  exact polarity: F = M, and the restricted ball is provably exactly span
+    intersected with the ambient ball (full space, zero space, periodic
+    patterns at p = infinity).
 
 Direct sums, reductions and inductions are split into parts in one place,
 _parts; window models stack the parts' models and outer ranks add their
@@ -321,6 +325,8 @@ class CyclicTranslates(SubspaceSpec):
             raise StructureError("generator and core live over different groups")
         if not 0.0 <= self.tail_eps < 1.0:
             raise StructureError("declared tail bound must lie in [0, 1)")
+        if not self.generator.data:
+            raise StructureError("cyclic generator is zero")
 
     @property
     def group(self):
@@ -512,38 +518,48 @@ def induce_spec(spec: SubspaceSpec, d: int) -> SubspaceSpec:
 class WindowModel:
     """Finite surrogate of a restricted unit ball; see the module docstring.
 
-    matrix rows run over window coordinates in canonical order, fiber slots
-    fastest.  For inner and exact models, full_matrix holds the same columns
-    over full_support (a superset of the window), and column_norms records
-    the full-space p-norm of each stored column (always <= 1).
+    full_matrix has fiber_dim rows per point of full_support, fiber slots
+    fastest.  full_support lists the window's points first, in canonical
+    order, then the off-window points, sorted; outer and exact models have
+    none of the latter.  matrix, the window rows M, is the leading block of
+    full_matrix, a view rather than a copy.  Inner columns have full-space
+    p-norm at most one.
     """
 
-    label: str
     window: FiniteSubset
     p: float
     fiber_dim: int
     polarity: str
-    matrix: np.ndarray
-    full_matrix: Optional[np.ndarray] = None
-    full_support: Optional[tuple[Coords, ...]] = None
-    column_norms: Optional[tuple[float, ...]] = None
+    full_matrix: np.ndarray
+    full_support: tuple[Coords, ...]
 
     @property
     def ambient_dim(self) -> int:
         return len(self.window) * self.fiber_dim
 
     @property
+    def matrix(self) -> np.ndarray:
+        return self.full_matrix[: self.ambient_dim]
+
+    @property
     def num_columns(self) -> int:
-        return self.matrix.shape[1]
+        return self.full_matrix.shape[1]
 
     def rank(self) -> int:
-        if self.matrix.size == 0:
+        mat = self.matrix
+        if mat.size == 0:
             return 0
-        return numerical_rank(np.linalg.svd(self.matrix, compute_uv=False), self.matrix.shape)
+        return numerical_rank(np.linalg.svd(mat, compute_uv=False), mat.shape)
+
+
+def _window_ball(
+    window: FiniteSubset, p: float, fiber: int, polarity: str, matrix: np.ndarray
+) -> WindowModel:
+    """An outer or exact model: span of matrix cut by the window's unit ball."""
+    return WindowModel(window, p, fiber, polarity, np.asarray(matrix, dtype=float), window.elements)
 
 
 def _genuine_model(
-    label: str,
     window: FiniteSubset,
     p: float,
     fiber: int,
@@ -553,38 +569,21 @@ def _genuine_model(
 ) -> WindowModel:
     """Inner model from the full-space columns of genuine subspace elements.
 
-    full holds fiber rows per point of coords (sorted, a superset of the
-    window).  Columns of norm at most 1e-14 are dropped, the rest are
-    normalized or checked against the unit ball, and the window rows are
-    sliced out.
+    full holds fiber rows per point of coords, the window's points first in
+    canonical order.  Columns of norm at most 1e-14 are dropped and the rest
+    are normalized or checked against the unit ball.
     """
     norms = np.array([lp_norm(full[:, j], p) for j in range(full.shape[1])])
     keep = norms > 1e-14
     full, norms = full.compress(keep, axis=1), norms[keep]
     if normalize:
         full = full / norms
-        norms = np.ones(norms.size)
-    over = norms[norms > 1.0 + 1e-9]
-    if over.size:
-        raise StructureError(f"inner column exceeds the unit ball: norm {over[0]:.6g}")
-    pos = {c: i for i, c in enumerate(coords)}
-    base = np.asarray([pos[c] * fiber for c in window.elements], dtype=int)
-    rows = (base[:, None] + np.arange(fiber)).ravel()
-    return WindowModel(
-        label=label,
-        window=window,
-        p=p,
-        fiber_dim=fiber,
-        polarity="inner",
-        matrix=full[rows, :],
-        full_matrix=full,
-        full_support=tuple(coords),
-        column_norms=tuple(norms.tolist()),
-    )
+    elif np.any(norms > 1.0 + 1e-9):
+        raise StructureError(f"inner column exceeds the unit ball: norm {norms.max():.6g}")
+    return WindowModel(window, p, fiber, "inner", full, tuple(coords))
 
 
 def _translate_model(
-    label: str,
     window: FiniteSubset,
     p: float,
     fiber: int,
@@ -597,27 +596,25 @@ def _translate_model(
     pattern lists (offset s, block) pairs, each block of shape (fiber, slots).
     The column for source gamma and slot v carries block[:, v] at gamma * s;
     columns run over sources in the given order with the slot fastest.  Rows
-    cover the window plus every point where some column is nonzero.
+    cover the window, then every other point where some column is nonzero.
     """
     grp = window.group
     slots = pattern[0][1].shape[1]
     targets = [[compose_coords(grp, g, s) for g in sources] for s, _ in pattern]
-    points = sorted(set(window.elements).union(*targets))
+    points = list(window.elements) + sorted(set().union(*targets) - window.coord_set)
     pos = {c: i for i, c in enumerate(points)}
     cube = np.zeros((len(points), fiber, len(sources), slots))
     src = np.arange(len(sources))
     for (_, blk), tgt in zip(pattern, targets):
         cube[np.asarray([pos[c] for c in tgt], dtype=int), :, src, :] = blk
     live = np.any(cube != 0.0, axis=(1, 2, 3))
-    inside = window.coord_set
-    keep = [i for i, c in enumerate(points) if live[i] or c in inside]
+    live[: len(window)] = True
+    keep = np.flatnonzero(live)
     full = cube[keep].reshape(len(keep) * fiber, len(sources) * slots)
-    return _genuine_model(
-        label, window, p, fiber, [points[i] for i in keep], full, normalize
-    )
+    return _genuine_model(window, p, fiber, [points[i] for i in keep], full, normalize)
 
 
-def _translate_span(label, omega, p, polarity, fiber, pattern) -> WindowModel:
+def _translate_span(omega, p, polarity, fiber, pattern) -> WindowModel:
     """Every translate of the pattern that meets the window (sources omega * S^-1).
 
     The inner model holds them as genuine elements; the outer model is the
@@ -625,37 +622,10 @@ def _translate_span(label, omega, p, polarity, fiber, pattern) -> WindowModel:
     """
     grp = omega.group
     sources = _product_coords(grp, omega.elements, [invert_coords(grp, s) for s, _ in pattern])
-    model = _translate_model(label, omega, p, fiber, sources, pattern, normalize=True)
+    model = _translate_model(omega, p, fiber, sources, pattern, normalize=True)
     if polarity == "outer":
-        return _span_enclosure(label, omega, p, fiber, model.matrix)
+        return _window_ball(omega, p, fiber, "outer", model.matrix)
     return model
-
-
-def _span_enclosure(
-    label: str, window: FiniteSubset, p: float, fiber: int, matrix: np.ndarray
-) -> WindowModel:
-    return WindowModel(
-        label=label,
-        window=window,
-        p=p,
-        fiber_dim=fiber,
-        polarity="outer",
-        matrix=np.asarray(matrix, dtype=float),
-    )
-
-
-def _exact_ball(label, window, p, fiber, matrix, full=None, support=None, norms=None):
-    return WindowModel(
-        label=label,
-        window=window,
-        p=p,
-        fiber_dim=fiber,
-        polarity="exact",
-        matrix=np.asarray(matrix, dtype=float),
-        full_matrix=full,
-        full_support=support,
-        column_norms=norms,
-    )
 
 
 def _product_coords(grp: GroupSpec, a, b) -> list[Coords]:
@@ -707,9 +677,7 @@ def _conv_kernel_inner(spec: ConvKernel, omega, p) -> WindowModel:
     h = spec.kernel
     rows = _product_coords(h.group, omega.elements, [c for c, _ in h.blocks])
     basis = _null_space(_conv_constraint_matrix(h, rows, omega), checked=True)
-    return _genuine_model(
-        spec.describe(), omega, p, h.dim_in, omega.elements, basis, normalize=True
-    )
+    return _genuine_model(omega, p, h.dim_in, omega.elements, basis, normalize=True)
 
 
 def _interior_rows(h: ConvolutionKernel, omega: FiniteSubset) -> list[Coords]:
@@ -726,24 +694,19 @@ def _interior_rows(h: ConvolutionKernel, omega: FiniteSubset) -> list[Coords]:
 def _conv_kernel_outer(spec: ConvKernel, omega, p) -> WindowModel:
     h = spec.kernel
     mat = _conv_constraint_matrix(h, _interior_rows(h, omega), omega)
-    return _span_enclosure(spec.describe(), omega, p, h.dim_in, _null_space(mat))
+    return _window_ball(omega, p, h.dim_in, "outer", _null_space(mat))
 
 
-def _unit_generator(spec: CyclicTranslates, p) -> list[tuple[Coords, np.ndarray]]:
-    """The generator scaled to unit p-norm, as a one-slot block pattern."""
-    nrm = spec.generator.norm(p)
-    if nrm <= 0.0:
-        raise StructureError("cyclic generator is zero")
-    scale = 1.0 / nrm
-    return [(c, (scale * v)[:, None]) for c, v in spec.generator.data.items()]
+def _generator_pattern(spec: CyclicTranslates) -> list[tuple[Coords, np.ndarray]]:
+    """The generator as a one-slot block pattern."""
+    return [(c, v[:, None]) for c, v in spec.generator.data.items()]
 
 
 def _periodic_infty_model(spec: PeriodicInfty, omega, p) -> WindowModel:
     n = spec.period
     size = len(omega)
     if p != math.inf:
-        empty = np.zeros((size, 0))
-        return _exact_ball(spec.describe(), omega, p, 1, empty, empty, omega.elements, ())
+        return _window_ball(omega, p, 1, "exact", np.zeros((size, 0)))
     cols = []
     for residue in range(n):
         col = np.array([1.0 if c[0] % n == residue else 0.0 for c in omega.elements])
@@ -752,62 +715,34 @@ def _periodic_infty_model(spec: PeriodicInfty, omega, p) -> WindowModel:
     mat = np.column_stack(cols) if cols else np.zeros((size, 0))
     # at p = inf the sup norm of a periodic indicator is attained inside any
     # window that meets its class, so the window matrix doubles as the full one
-    return _exact_ball(
-        spec.describe(), omega, p, 1, mat, mat, omega.elements, (1.0,) * mat.shape[1]
-    )
+    return _window_ball(omega, p, 1, "exact", mat)
 
 
-def _full_model(label, omega, p, fiber) -> WindowModel:
-    n = len(omega) * fiber
-    eye = np.eye(n)
-    return _exact_ball(label, omega, p, fiber, eye, eye, omega.elements, (1.0,) * n)
-
-
-def _zero_model(label, omega, p, fiber) -> WindowModel:
-    empty = np.zeros((len(omega) * fiber, 0))
-    return _exact_ball(label, omega, p, fiber, empty, empty, omega.elements, ())
-
-
-def _placed_model(label, omega, p, fiber, parts) -> WindowModel:
+def _placed_model(omega, p, fiber, parts) -> WindowModel:
     """Stack part models into the rows of a composite model on omega.
 
     parts lists (model, place) pairs; place maps a coordinate of the part to
     (composite point, first fiber slot), and the part's fiber slots follow on
-    from that slot.  Columns run over the parts in the given order.  The
-    composite is outer if any part is, else inner if any part is, else exact;
-    inner and exact composites also stack the full matrices, over the window
-    plus every placed full-support point, and concatenate the column norms.
+    from that slot.  Columns run over the parts in the given order.  Every
+    part window lands in omega and every off-window point off it, so the
+    full support is omega's points, then the placed off-window points,
+    sorted.  The composite is outer if any part is, else inner if any part
+    is, else exact.
     """
     models = [m for m, _ in parts]
     edges = np.cumsum([0] + [m.num_columns for m in models])
-
-    def stacked(points, placed, mats) -> np.ndarray:
-        pos = {c: i for i, c in enumerate(points)}
-        out = np.zeros((len(points) * fiber, edges[-1]))
-        for j, (m, where, mat) in enumerate(zip(models, placed, mats)):
-            first = np.asarray([pos[c] * fiber + slot for c, slot in where], dtype=int)
-            rows = (first[:, None] + np.arange(m.fiber_dim)).ravel()
-            out[rows, edges[j] : edges[j + 1]] = mat
-        return out
-
-    polarities = {m.polarity for m in models}
-    in_window = [list(map(place, m.window.elements)) for m, place in parts]
-    matrix = stacked(omega.elements, in_window, [m.matrix for m in models])
-    if "outer" in polarities:
-        return _span_enclosure(label, omega, p, fiber, matrix)
     placed = [list(map(place, m.full_support)) for m, place in parts]
-    support = tuple(sorted(set(omega.elements).union(*([c for c, _ in w] for w in placed))))
-    return WindowModel(
-        label=label,
-        window=omega,
-        p=p,
-        fiber_dim=fiber,
-        polarity="inner" if "inner" in polarities else "exact",
-        matrix=matrix,
-        full_matrix=stacked(support, placed, [m.full_matrix for m in models]),
-        full_support=support,
-        column_norms=sum((m.column_norms for m in models), ()),
-    )
+    off = {c for where in placed for c, _ in where} - omega.coord_set
+    support = omega.elements + tuple(sorted(off))
+    pos = {c: i for i, c in enumerate(support)}
+    full = np.zeros((len(support) * fiber, edges[-1]))
+    for j, (m, where) in enumerate(zip(models, placed)):
+        first = np.asarray([pos[c] * fiber + slot for c, slot in where], dtype=int)
+        rows = (first[:, None] + np.arange(m.fiber_dim)).ravel()
+        full[rows, edges[j] : edges[j + 1]] = m.full_matrix
+    polarities = {m.polarity for m in models}
+    polarity = next(kind for kind in ("outer", "inner", "exact") if kind in polarities)
+    return WindowModel(omega, p, fiber, polarity, full, support)
 
 
 def _check_window(spec: SubspaceSpec, omega: FiniteSubset):
@@ -851,40 +786,38 @@ def _parts(spec: SubspaceSpec, omega: FiniteSubset):
 def _window_model(spec: SubspaceSpec, omega: FiniteSubset, p: float, polarity: str) -> WindowModel:
     """The inner or outer model of spec on omega; exact models serve both."""
     spec = _resolved(spec)
-    label = spec.describe()
     parts = _parts(spec, omega)
     if parts is not None:
         models = [(_window_model(part, w, p, polarity), place) for part, w, place in parts]
-        return _placed_model(label, omega, p, spec.fiber_dim, models)
+        return _placed_model(omega, p, spec.fiber_dim, models)
     if isinstance(spec, Full):
-        return _full_model(label, omega, p, spec.dim_v)
+        return _window_ball(omega, p, spec.dim_v, "exact", np.eye(len(omega) * spec.dim_v))
     if isinstance(spec, Zero):
-        return _zero_model(label, omega, p, spec.dim_v)
+        return _window_ball(omega, p, spec.dim_v, "exact", np.zeros((len(omega) * spec.dim_v, 0)))
     if isinstance(spec, PeriodicInfty):
         return _periodic_infty_model(spec, omega, p)
     if isinstance(spec, UnionPeriodic):
-        if p == math.inf:
-            return _full_model(label, omega, p, 1)
-        return _zero_model(label, omega, p, 1)
+        span = np.eye(len(omega)) if p == math.inf else np.zeros((len(omega), 0))
+        return _window_ball(omega, p, 1, "exact", span)
     if isinstance(spec, KerPeriodization):
         if polarity == "outer":
-            return _span_enclosure(label, omega, p, 1, np.eye(len(omega)))
+            return _window_ball(omega, p, 1, "outer", np.eye(len(omega)))
         pattern = [((0,), np.array([[0.5]])), ((spec.period,), np.array([[-0.5]]))]
-        return _translate_model(label, omega, p, 1, omega.elements, pattern, normalize=False)
+        return _translate_model(omega, p, 1, omega.elements, pattern, normalize=False)
     if isinstance(spec, ConvKernel):
         if polarity == "outer":
             return _conv_kernel_outer(spec, omega, p)
         return _conv_kernel_inner(spec, omega, p)
     if isinstance(spec, ConvImage):
-        return _translate_span(label, omega, p, polarity, spec.fiber_dim, spec.kernel.blocks)
+        return _translate_span(omega, p, polarity, spec.fiber_dim, spec.kernel.blocks)
     if isinstance(spec, CyclicTranslates):
-        unit = _unit_generator(spec, p)
+        pattern = _generator_pattern(spec)
         if polarity == "outer":
-            return _translate_span(label, omega, p, polarity, spec.fiber_dim, unit)
+            return _translate_span(omega, p, polarity, spec.fiber_dim, pattern)
         from .tiling import greedy_pack
 
         centers = greedy_pack(omega, spec.core).centers.elements
-        return _translate_model(label, omega, p, spec.fiber_dim, centers, unit, normalize=True)
+        return _translate_model(omega, p, spec.fiber_dim, centers, pattern, normalize=True)
     raise CapabilityError(f"no {polarity} model for {spec!r}")
 
 
@@ -933,7 +866,7 @@ def outer_rank(spec: SubspaceSpec, omega: FiniteSubset, p: float) -> int:
         return sum(outer_rank(part, w, p) for part, w, _ in parts)
     lattice = not any(omega.group.moduli)
     if lattice and isinstance(spec, (ConvImage, CyclicTranslates)):
-        pattern = spec.kernel.blocks if isinstance(spec, ConvImage) else _unit_generator(spec, p)
+        pattern = spec.kernel.blocks if isinstance(spec, ConvImage) else _generator_pattern(spec)
         if _full_row_rank(max(pattern, key=lambda sb: sb[0])[1]):
             return len(omega) * spec.fiber_dim
     if lattice and isinstance(spec, ConvKernel):

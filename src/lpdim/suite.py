@@ -330,19 +330,13 @@ def property_suite(config: Optional[dict] = None, seed: int = 0) -> SuiteReport:
         for trial in range(40):
             n = int(rng.integers(2, 10))
             sig = np.sort(rng.uniform(0.05, 1.0, size=n))[::-1]
-            mat = np.diag(sig)
-            full = np.vstack([np.diag(sig), np.diag(np.sqrt(1.0 - sig**2))])
-            coords = tuple((t,) for t in range(2 * n))
             model = WindowModel(
-                label=f"synthetic-{trial}",
                 window=FiniteSubset.of(_Z, range(n)),
                 p=2.0,
                 fiber_dim=1,
                 polarity="inner",
-                matrix=mat,
-                full_matrix=full,
-                full_support=coords,
-                column_norms=tuple(1.0 for _ in range(n)),
+                full_matrix=np.vstack([np.diag(sig), np.diag(np.sqrt(1.0 - sig**2))]),
+                full_support=tuple((t,) for t in range(2 * n)),
             )
             for eps in (1.6, 0.9, 0.4):
                 wide = four_widths(model, 2.0 * eps).inscribed

@@ -14,14 +14,14 @@ full-space l1 cost over the null space (closed form for up to one null
 direction, a small LP per coordinate beyond), and folds the recomputed
 residual of the final lifts into the radius.
 
-An inner body is {M c : |F c|_2 <= 1}, M the window rows of the full
-matrix F and E its r off-window rows.  Every c with E c = 0 keeps its
-length, so at most r semiaxes differ from one; singular_profile factorises
-only E and the r boundary directions it picks out, never the whole window
-map, and r is the window's boundary layer.  The whitening of F^T F keeps
-eigenvalues above its own rounding level, (rows + columns) 2^-52 of the
-largest, so every kept direction, and with it every unit semiaxis, is
-genuine.
+An inner body is {M c : |F c|_2 <= 1}: the full matrix F lists the
+window's rows first, M is that leading block and E the tail of r
+off-window rows.  Every c with E c = 0 keeps its length, so at most r
+semiaxes differ from one; singular_profile factorises only E and the r
+boundary directions it picks out, never the whole window map, and r is the
+window's boundary layer.  The whitening of F^T F keeps eigenvalues above
+its own rounding level, (rows + columns) 2^-52 of the largest, so every
+kept direction, and with it every unit semiaxis, is genuine.
 
 Every rank and nullity here is numerical_rank of a spectrum; the whitening
 cutoff is the one eigenvalue decision outside it.
@@ -148,16 +148,6 @@ def _whitening(full: np.ndarray) -> np.ndarray:
     return vecs[:, keep] / np.sqrt(lam[keep])
 
 
-def _edge_rows(model: WindowModel) -> np.ndarray:
-    """The rows E of an inner model's full matrix at points off its window."""
-    if model.full_matrix is None:
-        return model.matrix[:0]
-    inside = model.window.coord_set
-    support = model.full_support
-    off = np.fromiter((c not in inside for c in support), dtype=bool, count=len(support))
-    return model.full_matrix[np.repeat(off, model.fiber_dim)]
-
-
 def ellipsoid_map(model: WindowModel) -> np.ndarray:
     """Matrix B with the model body equal to {B u : |u|_2 <= 1} in l2 terms.
 
@@ -166,11 +156,9 @@ def ellipsoid_map(model: WindowModel) -> np.ndarray:
     span ball.  For outer and exact models the body is span cap ball and B
     is an orthonormal basis.
     """
-    mat = model.matrix
     if model.polarity in ("outer", "exact"):
-        return _orthonormal_span(mat)
-    full = model.full_matrix if model.full_matrix is not None else mat
-    return mat @ _whitening(full)
+        return _orthonormal_span(model.matrix)
+    return model.matrix @ _whitening(model.full_matrix)
 
 
 def singular_profile(model: WindowModel) -> np.ndarray:
@@ -187,11 +175,11 @@ def singular_profile(model: WindowModel) -> np.ndarray:
     """
     if model.polarity in ("outer", "exact"):
         return np.ones(_orthonormal_span(model.matrix).shape[1])
-    full = model.full_matrix if model.full_matrix is not None else model.matrix
-    w = _whitening(full)
+    w = _whitening(model.full_matrix)
     k_kept = w.shape[1]
-    if full.shape[0] - model.matrix.shape[0] < k_kept:
-        w = w @ np.linalg.svd(_edge_rows(model) @ w, full_matrices=False)[2].T
+    edge = model.full_matrix[model.ambient_dim :]
+    if edge.shape[0] < k_kept:
+        w = w @ np.linalg.svd(edge @ w, full_matrices=False)[2].T
     s = np.linalg.svd(model.matrix @ w, compute_uv=False)
     # restriction cannot expand a full-space unit vector, so clip the
     # harmless eigenvalue noise that lands a hair above one
@@ -258,7 +246,7 @@ def inscribed_l1_radius(model: WindowModel) -> float:
     d = k - n
     if d >= 2 and n > _LP_CLAMP_MAX_DIM:
         return 0.0
-    full = model.full_matrix if model.full_matrix is not None else mat
+    full = model.full_matrix
     coeffs = vt[:n].T @ (u.T / s[:, None])
     if d > 0:
         null = vt[n:].T
@@ -349,9 +337,8 @@ def bracket_profile(model: WindowModel) -> BracketProfile:
             l1_radius=0.0,
         )
     sigma = singular_profile(model)
-    full = model.full_matrix if model.full_matrix is not None else model.matrix
     n_eff = max(1, int(np.sum(np.any(model.matrix != 0.0, axis=1))))
-    full_eff = max(1, int(np.sum(np.any(full != 0.0, axis=1))))
+    full_eff = max(1, int(np.sum(np.any(model.full_matrix != 0.0, axis=1))))
     radius = 0.0
     if model.p == 1.0:
         radius = inscribed_l1_radius(model)

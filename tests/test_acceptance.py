@@ -164,18 +164,14 @@ def test_03_direct_sum_additivity(capsys):
 
 def _synthetic_ellipsoid(sig: np.ndarray) -> WindowModel:
     n = sig.size
-    mat = np.diag(sig)
-    full = np.vstack([mat, np.diag(np.sqrt(1.0 - sig**2))])
+    full = np.vstack([np.diag(sig), np.diag(np.sqrt(1.0 - sig**2))])
     return WindowModel(
-        label="acceptance-ellipsoid",
         window=FiniteSubset.of(Z, range(n)),
         p=2.0,
         fiber_dim=1,
         polarity="inner",
-        matrix=mat,
         full_matrix=full,
         full_support=tuple((t,) for t in range(2 * n)),
-        column_norms=(1.0,) * n,
     )
 
 

@@ -329,6 +329,33 @@ def test_window_budget_is_checked_before_any_window_is_built(monkeypatch):
             build_Q(delta, omega, 1.0)
 
 
+
+@hyp_settings(max_examples=80, deadline=None)
+@given(
+    lattice=st.integers(1, 2),
+    cyclic=st.lists(st.integers(2, 40), max_size=1),
+    fiber=st.integers(1, 3),
+    data=st.data(),
+)
+def test_window_budget_refuses_exactly_the_grids_over_it(lattice, cyclic, fiber, data):
+    class Admitted(Exception):
+        pass
+
+    def no_window(group, index):
+        raise Admitted(f"window {index}")
+
+    group = GroupSpec((0,) * lattice + tuple(cyclic))
+    order = math.prod(cyclic)
+    # the largest index whose box fits: index^lattice * order * fiber <= budget
+    fits = WINDOW_BUDGET // (order * fiber)
+    edge = fits if lattice == 1 else math.isqrt(fits)
+    index = data.draw(st.one_of(st.integers(1, 2 * edge + 2), st.sampled_from([edge, edge + 1])))
+    over = index**lattice * order * fiber > WINDOW_BUDGET
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dimension, "folner_window", no_window)
+        with pytest.raises(CapabilityError if over else Admitted):
+            estimate_dimension(Full(group, fiber), 2.0, [index], [0.5])
+
 def test_estimate_invariants_across_specs():
     specs = [Full(Z, 1), Zero(Z, 1), ConvImage(DIFF), ConvKernel(ONE_BY_TWO), KerPeriodization(2)]
     for spec in specs:

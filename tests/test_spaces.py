@@ -58,6 +58,11 @@ def block_kernel():
     return ConvolutionKernel.of(Z, {0: [[1.0, 0.0]], 1: [[0.0, 1.0]]})
 
 
+def column_norms(model):
+    """Full-space p-norm of each column of the model's full matrix."""
+    return tuple(lp_norm(col, model.p) for col in model.full_matrix.T)
+
+
 def conv_oracle_z(h_entries, y_entries, dim_in, dim_out, eta):
     """Direct evaluation of (h*y)(eta) on the integers, no shared code."""
     total = np.zeros(dim_out)
@@ -282,7 +287,7 @@ def test_conv_kernel_models_frozen_dimensions():
     inner2 = inner_window_model(ConvKernel(block_kernel()), omega, 2.0)
     assert inner2.num_columns == 7
     assert inner2.polarity == "inner"
-    assert all(n == pytest.approx(1.0) for n in inner2.column_norms)
+    assert all(n == pytest.approx(1.0) for n in column_norms(inner2))
     outer2 = outer_window_model(ConvKernel(block_kernel()), omega, 2.0)
     assert outer2.rank() == 9
 
@@ -343,7 +348,7 @@ def test_conv_image_models_frozen_dimensions():
     inner = inner_window_model(ConvImage(diff_kernel()), omega, 2.0)
     assert inner.num_columns == 9
     assert inner.polarity == "inner"
-    assert all(n == pytest.approx(1.0) for n in inner.column_norms)
+    assert all(n == pytest.approx(1.0) for n in column_norms(inner))
     assert inner.rank() == 8
     outer = outer_window_model(ConvImage(diff_kernel()), omega, 2.0)
     assert outer.rank() == 8
@@ -376,8 +381,7 @@ def _reference_elements(spec, omega, p):
         ]
         return [el for el in elements if el.data], True
     if isinstance(spec, CyclicTranslates):
-        unit = spec.generator.scaled(1.0 / spec.generator.norm(p))
-        return [unit.translated(g) for g in greedy_pack(omega, spec.core).centers], True
+        return [spec.generator.translated(g) for g in greedy_pack(omega, spec.core).centers], True
     n = spec.period
     return [SupportedMap(Z, 1, {k: [0.5], k + n: [-0.5]}) for (k,) in omega], False
 
@@ -416,15 +420,17 @@ def test_inner_translate_columns_match_supported_map_reference():
             model = inner_window_model(spec, omega, p)
             elements, normalize = _reference_elements(spec, omega, p)
             assert elements, spec.describe()
-            support = tuple(sorted(set(omega.elements).union(*(el.data for el in elements))))
+            off = set().union(*(el.data for el in elements)) - omega.coord_set
+            support = omega.elements + tuple(sorted(off))
             assert model.full_support == support, spec.describe()
             cols = [np.concatenate([el.value(c) for c in support]) for el in elements]
             norms = [lp_norm(v, p) for v in cols]
             if normalize:
                 cols = [v / nrm for v, nrm in zip(cols, norms)]
-                norms = [1.0] * len(cols)
+                norms = [lp_norm(v, p) for v in cols]
+                assert norms == pytest.approx([1.0] * len(cols), rel=4 * np.finfo(float).eps)
             assert np.array_equal(model.full_matrix, np.column_stack(cols)), spec.describe()
-            assert model.column_norms == tuple(norms)
+            assert column_norms(model) == tuple(norms)
             rows = [support.index(c) * f + k for c in omega for k in range(f)]
             assert np.array_equal(model.matrix, model.full_matrix[rows])
 
@@ -463,11 +469,7 @@ def test_inner_models_respect_the_unit_ball():
         for spec in specs:
             for p in (1.0, 1.5, 2.0, math.inf):
                 m = inner_window_model(spec, omega, p)
-                assert m.column_norms is not None
-                assert all(n <= 1.0 + 1e-12 for n in m.column_norms)
-                # each full column carries the recorded full-space norm
-                full_norms = [lp_norm(col, p) for col in m.full_matrix.T]
-                assert full_norms == pytest.approx(m.column_norms, rel=1e-12), spec.describe()
+                assert all(n <= 1.0 + 1e-12 for n in column_norms(m)), spec.describe()
                 # window rows of the full matrix reproduce the restricted matrix
                 pos = {c: i for i, c in enumerate(m.full_support)}
                 rows = []
@@ -482,11 +484,11 @@ def test_ker_periodization_model_frozen_example():
     m = inner_window_model(KerPeriodization(2), omega, 1.0)
     assert m.num_columns == 4
     assert m.rank() == 4
-    assert m.column_norms == pytest.approx((1.0, 1.0, 1.0, 1.0))
+    assert column_norms(m) == pytest.approx((1.0, 1.0, 1.0, 1.0))
     at2 = inner_window_model(KerPeriodization(2), omega, 2.0)
-    assert at2.column_norms == pytest.approx((2 ** -0.5,) * 4)
+    assert column_norms(at2) == pytest.approx((2 ** -0.5,) * 4)
     atinf = inner_window_model(KerPeriodization(2), omega, math.inf)
-    assert atinf.column_norms == pytest.approx((0.5,) * 4)
+    assert column_norms(atinf) == pytest.approx((0.5,) * 4)
     outer = outer_window_model(KerPeriodization(2), omega, 1.0)
     assert outer.polarity == "outer"
     assert outer.rank() == 4
@@ -527,7 +529,7 @@ def test_direct_sum_model_interleaves_fibers():
     left = inner_window_model(ConvImage(diff_kernel()), omega, 2.0)
     right = inner_window_model(ConvKernel(block_kernel()), omega, 2.0)
     assert mixed.num_columns == left.num_columns + right.num_columns
-    assert mixed.column_norms == left.column_norms + right.column_norms
+    assert column_norms(mixed) == column_norms(left) + column_norms(right)
     # left columns live on fiber slot 0, right columns on slots 1 and 2
     m3 = mixed.matrix.reshape(3, 3, mixed.num_columns)
     assert np.all(m3[:, 1:, : left.num_columns] == 0.0)
@@ -545,7 +547,7 @@ def test_reduced_view_reuses_base_rows_exactly():
             raw = inner_window_model(base, expanded, p)
             assert red.fiber_dim == d
             assert np.array_equal(red.matrix, raw.matrix)
-            assert red.column_norms == raw.column_norms
+            assert column_norms(red) == column_norms(raw)
     gap = FiniteSubset.of(Z, [0, 2, 5])
     red = inner_window_model(Reduced(base, 2), gap, 2.0)
     raw = inner_window_model(base, FiniteSubset.of(Z, [0, 1, 4, 5, 10, 11]), 2.0)
@@ -589,7 +591,7 @@ def test_cyclic_translates_models():
     assert inner.polarity == "inner"
     # greedy packing of a two-point core in [0,8) lands on the even offsets
     assert inner.num_columns == 4
-    assert inner.column_norms == pytest.approx((1.0,) * 4)
+    assert column_norms(inner) == pytest.approx((1.0,) * 4)
     outer = outer_window_model(spec, omega, 2.0)
     assert outer.polarity == "outer"
     assert inner.num_columns <= outer.matrix.shape[1]
@@ -599,6 +601,30 @@ def test_cyclic_translates_models():
             omega,
             2.0,
         )
+
+
+def test_zero_cyclic_generator_is_refused_when_built():
+    for gen in (SupportedMap(Z, 1), SupportedMap(Z, 2, {0: [0.0, 0.0], 3: [0.0, -0.0]})):
+        with pytest.raises(StructureError, match="zero"):
+            CyclicTranslates(gen, FiniteSubset.of(Z, [0]), 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_window_rows_lead_the_full_matrix(name):
+    scenario = REGISTRY[name]
+    spec = scenario.build()
+    omega = folner_window(spec.group, scenario.windows[0])
+    for p in sorted({1.0, 2.0, scenario.p}):
+        inner = inner_window_model(spec, omega, p)
+        assert inner.full_support[: len(omega)] == omega.elements, p
+        # the window block is a view into the full matrix, not a copy
+        assert inner.full_matrix.size == 0 or np.shares_memory(inner.matrix, inner.full_matrix), p
+        assert inner.matrix.shape == (len(omega) * spec.fiber_dim, inner.num_columns)
+        if inner.polarity == "exact":
+            assert inner.full_support == omega.elements, p
+        outer = outer_window_model(spec, omega, p)
+        assert outer.polarity in ("outer", "exact")
+        assert outer.full_support == omega.elements, p
 
 
 def _random_kernel(rng, group, d_in, d_out, points):

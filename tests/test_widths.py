@@ -65,18 +65,14 @@ def ellipsoid_model(semiaxes, p=2.0):
     sig = np.asarray(semiaxes, dtype=float)
     n = sig.size
     window = interval(0, n)
-    mat = np.diag(sig)
-    full = np.vstack([mat, np.diag(np.sqrt(1.0 - sig ** 2))])
+    full = np.vstack([np.diag(sig), np.diag(np.sqrt(1.0 - sig ** 2))])
     return WindowModel(
-        label="synthetic-ellipsoid",
         window=window,
         p=p,
         fiber_dim=1,
         polarity="inner",
-        matrix=mat,
         full_matrix=full,
         full_support=tuple((i,) for i in range(2 * n)),
-        column_norms=(1.0,) * n,
     )
 
 
@@ -217,13 +213,13 @@ def test_boundary_profile_matches_the_whitened_map_svd():
     models = [inner_window_model(spec, omega, 2.0) for spec, omega in cases]
     models += [ellipsoid_model(sig) for sig in ([0.9, 0.5, 0.2, 0.05], [1.0, 0.3, 0.0])]
     regimes = {"r = 0": 0, "0 < r < k'": 0, "r >= k'": 0}
-    for model in models:
+    for case, model in enumerate(models):
         r = boundary_rows(model)
         k_kept = np.linalg.matrix_rank(model.full_matrix)
         regimes["r = 0" if r == 0 else "0 < r < k'" if r < k_kept else "r >= k'"] += 1
         got, want = singular_profile(model), reference_profile(model)
-        assert got.shape == want.shape, model.label
-        assert np.allclose(got, want, rtol=0.0, atol=1e-9), model.label
+        assert got.shape == want.shape, case
+        assert np.allclose(got, want, rtol=0.0, atol=1e-9), case
         assert np.all(np.diff(got) <= 0.0)
     assert regimes == {"r = 0": 3, "0 < r < k'": 12, "r >= k'": 4}
 
@@ -470,15 +466,12 @@ def random_inner_model(rng, n, nullity, extra_rows):
     full = rng.normal(size=(n + extra_rows, n + nullity))
     full /= np.abs(full).sum(axis=0)
     return WindowModel(
-        label="random-inner",
         window=interval(0, n),
         p=1.0,
         fiber_dim=1,
         polarity="inner",
-        matrix=full[:n],
         full_matrix=full,
         full_support=tuple((i,) for i in range(n + extra_rows)),
-        column_norms=(1.0,) * (n + nullity),
     )
 
 
@@ -736,8 +729,8 @@ def test_every_rank_decision_follows_the_one_tolerance(monkeypatch):
 
     mat = np.diag([1.0, 1e-6])
     omega = interval(0, 2)
-    outer = WindowModel("diag", omega, 2.0, 1, "outer", mat)
-    inner = WindowModel("diag", omega, 1.0, 1, "inner", mat, mat, omega.elements, (1.0, 1.0))
+    outer = WindowModel(omega, 2.0, 1, "outer", mat, omega.elements)
+    inner = WindowModel(omega, 1.0, 1, "inner", mat, omega.elements)
 
     def decisions():
         return (
