@@ -19,11 +19,17 @@ window's rows first, M is that leading block and E the tail of r
 off-window rows.  Every c with E c = 0 keeps its length, so at most r
 semiaxes differ from one; singular_profile factorises only E and the r
 boundary directions it picks out, never the whole window map, and r is the
-window's boundary layer.  The whitening of F^T F keeps eigenvalues above
-its own rounding level, (rows + columns) 2^-52 of the largest, so every
-kept direction, and with it every unit semiaxis, is genuine.
+window's boundary layer.  The whitening W = L^-T comes from the Cholesky
+factor L of F^T F and is checked after the fact: eta bounds
+||(F W)^T (F W) - I||_2, the rounding of the products that measure it
+included, and every semiaxis is shrunk by it, so lower counts stay
+certified.  Only where Cholesky fails or eta >= 1 does the whitening fall
+back to eigh(F^T F), keeping eigenvalues above its own rounding level,
+(rows + columns) 2^-52 of the largest, so every kept direction, and with
+it every unit semiaxis, is genuine.  All of it is numpy: scipy is loaded
+only by the p = 1 LPs and the ball-cut nearest-point solver.
 
-Every rank and nullity here is numerical_rank of a spectrum; the whitening
+Every rank and nullity here is numerical_rank of a spectrum; the eigh
 cutoff is the one eigenvalue decision outside it.
 
 Also here: entrywise and operator norms (exact closed forms where they
@@ -56,6 +62,9 @@ from .spaces import WindowModel
 # windows above this skip the LP route of the l1 inscribed-ball certificate
 # (two or more null directions), which solves one HiGHS LP per coordinate
 _LP_CLAMP_MAX_DIM = 256
+
+# unit roundoff of float64, 2^-53
+_UNIT = np.finfo(float).eps / 2.0
 
 
 def entrywise_norm(values: np.ndarray, p: float) -> float:
@@ -101,7 +110,8 @@ def operator_norm(
     in_to_inf = _exact_operator_norm(mat, p_in, math.inf)
     one_to_one = _exact_operator_norm(mat, 1.0, 1.0)
     inf_to_inf = _exact_operator_norm(mat, math.inf, math.inf)
-    sigma_top = float(np.linalg.svd(mat, compute_uv=False)[0])
+    _, sv, vh = np.linalg.svd(mat, full_matrices=False)
+    sigma_top = float(sv[0])
 
     inv_in = 0.0 if p_in == math.inf else 1.0 / p_in
     inv_out = 0.0 if p_out == math.inf else 1.0 / p_out
@@ -116,7 +126,6 @@ def operator_norm(
 
     rng = rng_for(seed, "operator-norm")
     trials = [np.eye(n_in)[:, j] for j in range(n_in)]
-    _, _, vh = np.linalg.svd(mat)
     trials.append(vh[0])
     trials.extend(rng.normal(size=(samples, n_in)))
     lo = 0.0
@@ -130,7 +139,49 @@ def operator_norm(
 # -------------------------------------------------------- ellipsoid profile
 
 
-def _whitening(full: np.ndarray) -> np.ndarray:
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix, by matmuls.
+
+    numpy has no triangular solve, so blocks are split 2 x 2,
+    [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]], down to blocks
+    of at most 64 rows, which np.linalg.inv takes whole.
+    """
+    k = low.shape[0]
+    if k <= 64:
+        return np.linalg.inv(low)
+    h = k // 2
+    inv = np.zeros_like(low)
+    inv[:h, :h] = _lower_inverse(low[:h, :h])
+    inv[h:, h:] = _lower_inverse(low[h:, h:])
+    np.negative(inv[h:, h:] @ (low[h:, :h] @ inv[:h, :h]), out=inv[h:, :h])
+    return inv
+
+
+def _orthonormality_defect(full: np.ndarray, w: np.ndarray, q: np.ndarray) -> float:
+    """eta >= ||(F W)^T (F W) - I||_2 for the exact product F W, q its computed value.
+
+    A product summing n terms errs entrywise by at most (n + 1) u times the
+    product of absolute values, u = 2^-53.  So |q - F W| <= g |F| |W|, g
+    from the most nonzeros in a row of F, and ||q - F W||_2 <= e =
+    g ||F||_F ||W||_F.  The Gram of q errs by at most gamma |q|^T |q|,
+    gamma = (rows + 1) u, of norm at most gamma ||q||_F^2 <= gamma k (1 + x)
+    with x = ||q^T q - I||_2; with rho the Frobenius norm of the computed
+    Gram minus I, x <= (rho + gamma k) / (1 - gamma k).  Then ||q||_2 <=
+    sqrt(1 + x) and eta = x + 2 sqrt(1 + x) e + e^2.
+    """
+    rows, k = q.shape
+    nnz = int((full != 0.0).sum(axis=1).max(initial=0))
+    err = (nnz + 1) * _UNIT * float(np.linalg.norm(full)) * float(np.linalg.norm(w))
+    gram = q.T @ q
+    gram.ravel()[:: k + 1] -= 1.0
+    # (k^2 + 4) u covers the subtraction of I, the sum of squares and the scalars
+    slack = 1.0 + (k * k + 4) * _UNIT
+    gamma_k = (rows + 1) * _UNIT * k
+    x = (float(np.linalg.norm(gram)) * slack + gamma_k) / (1.0 - gamma_k)
+    return (x + 2.0 * math.sqrt(1.0 + x) * err + err * err) * slack
+
+
+def _eigh_whitening(full: np.ndarray) -> np.ndarray:
     """W (k x k') with F W orthonormal and the same span as F, from eigh(F^T F).
 
     Only eigenvalues above gamma * lambda_max are kept, gamma = (rows + k)
@@ -148,17 +199,41 @@ def _whitening(full: np.ndarray) -> np.ndarray:
     return vecs[:, keep] / np.sqrt(lam[keep])
 
 
-def ellipsoid_map(model: WindowModel) -> np.ndarray:
-    """Matrix B with the model body equal to {B u : |u|_2 <= 1} in l2 terms.
+def _whitening(full: np.ndarray) -> tuple[np.ndarray, float]:
+    """The whitened full map Q = F W (rows x k') and eta >= ||Q^T Q - I||_2.
 
-    For inner models B = M W, the window rows M of the full matrix F times
-    the whitening W of F^T F, so B carries the restriction of the genuine
-    span ball.  For outer and exact models the body is span cap ball and B
-    is an orthonormal basis.
+    W = L^-T from the Cholesky factor L of F^T F, with eta from
+    _orthonormality_defect.  eta < 1 makes F W, hence F, of full column
+    rank, so all k directions are genuine.  Where Cholesky fails (a
+    numerically singular Gram) or eta >= 1, W comes from _eigh_whitening,
+    which keeps k' <= k directions and is taken as exact, eta = 0.
+    """
+    try:
+        w = _lower_inverse(np.linalg.cholesky(full.T @ full)).T
+    except np.linalg.LinAlgError:
+        w = None
+    if w is not None:
+        q = full @ w
+        eta = _orthonormality_defect(full, w, q)
+        if eta < 1.0:  # False for NaN too
+            return q, eta
+    return full @ _eigh_whitening(full), 0.0
+
+
+def ellipsoid_map(model: WindowModel) -> np.ndarray:
+    """Matrix B with {B u : |u|_2 <= 1} the model body in l2 terms.
+
+    For inner models B = M W / sqrt(1 + eta), the window rows of the
+    whitened full map Q = F W scaled down: for |u| <= 1 the coefficients
+    c = W u / sqrt(1 + eta) have |F c| <= 1, so B carries the restriction of
+    the genuine span ball, inside the body and equal to it up to the factor
+    sqrt((1 + eta) / (1 - eta)).  For outer and exact models the body is
+    span cap ball and B is an orthonormal basis.
     """
     if model.polarity in ("outer", "exact"):
         return _orthonormal_span(model.matrix)
-    return model.matrix @ _whitening(model.full_matrix)
+    q, eta = _whitening(model.full_matrix)
+    return q[: model.ambient_dim] / math.sqrt(1.0 + eta)
 
 
 def singular_profile(model: WindowModel) -> np.ndarray:
@@ -172,19 +247,35 @@ def singular_profile(model: WindowModel) -> np.ndarray:
     values of M W V, an n x r' map.  With r >= k' V spans everything, so V
     is taken as the identity and this is the SVD of B itself.  Outer and
     exact bodies are span cap ball, one unit semiaxis per rank.
+
+    The squared semiaxes are the eigenvalues of the pencil
+    ((M W)^T M W, (F W)^T F W).  With ||(F W)^T (F W) - I||_2 <= eta, its
+    Rayleigh quotient on the span of the unit directions and the top i
+    directions of M W V is at least (s_i^2 - eta^2 / (1 - eta)) / (1 + eta).
+    By Courant-Fischer each s, the ones included, may be lowered to the root
+    of that, and (s - eta / sqrt(1 - eta)) / sqrt(1 + eta) lies below it.
     """
     if model.polarity in ("outer", "exact"):
         return np.ones(_orthonormal_span(model.matrix).shape[1])
-    w = _whitening(model.full_matrix)
-    k_kept = w.shape[1]
-    edge = model.full_matrix[model.ambient_dim :]
+    q, eta = _whitening(model.full_matrix)
+    k_kept = q.shape[1]
+    window, edge = q[: model.ambient_dim], q[model.ambient_dim :]
     if edge.shape[0] < k_kept:
-        w = w @ np.linalg.svd(edge @ w, full_matrices=False)[2].T
-    s = np.linalg.svd(model.matrix @ w, compute_uv=False)
+        window = window @ np.linalg.svd(edge, full_matrices=False)[2].T
+    s = np.linalg.svd(window, compute_uv=False)
     # restriction cannot expand a full-space unit vector, so clip the
     # harmless eigenvalue noise that lands a hair above one
-    s = np.concatenate([np.ones(k_kept - w.shape[1]), np.minimum(s, 1.0)])
+    s = np.concatenate([np.ones(k_kept - window.shape[1]), np.minimum(s, 1.0)])
+    s = s / math.sqrt(1.0 + eta) - eta / math.sqrt((1.0 - eta) * (1.0 + eta))
     return s[s > COUNT_TOL]
+
+
+def _check_eps(eps) -> None:
+    """Refuse a threshold that is not a positive number.  NaN fails every
+    comparison, so a test of eps <= 0 would let it through to made-up
+    counts; a bool is not a scale."""
+    if isinstance(eps, (bool, np.bool_)) or not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
 
 
 def seminorm_cut_count(b: np.ndarray, rows: Sequence[int], eps: float) -> int:
@@ -194,6 +285,7 @@ def seminorm_cut_count(b: np.ndarray, rows: Sequence[int], eps: float) -> int:
     bound; restricting any eps-cut to the slice certifies the lower one, so
     for ellipsoids this count is the exact seminorm analogue.
     """
+    _check_eps(eps)
     sliced = np.asarray(b, dtype=float)[list(rows), :]
     if sliced.size == 0:
         return 0
@@ -212,8 +304,7 @@ def ldim_hilbert(model: WindowModel, eps: float) -> int:
     """
     if model.p != 2.0:
         raise CapabilityError("the exact route needs p = 2; use ldim_bracket")
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    _check_eps(eps)
     return ldim_bracket(model, eps)[0]
 
 
@@ -364,8 +455,7 @@ def bracket_counts(profile: BracketProfile, eps: float) -> tuple[int, int]:
     rescales the metric.  At p = 1 a full-rank inscribed l1 ball upgrades the
     lower bound to the whole window dimension.
     """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    _check_eps(eps)
     if eps >= 2.0:
         return 0, 0
     if profile.polarity in ("outer", "exact"):
@@ -421,8 +511,7 @@ class WidthCounts:
 def four_widths(model: WindowModel, eps: float) -> WidthCounts:
     if model.p != 2.0:
         raise CapabilityError("width quartet is computed in the p = 2 window")
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    _check_eps(eps)
     if model.polarity in ("outer", "exact"):
         sigma = np.ones(model.rank())
     else:

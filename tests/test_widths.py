@@ -1,10 +1,15 @@
 """Tests for width counts, brackets, duality maps, and the nearest-point solver."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lpdim import widths
 from lpdim._util import conjugate_exponent, lp_norm, numerical_rank, rng_for
 from lpdim.errors import CapabilityError
 from lpdim.groups import FiniteSubset, GroupSpec, folner_window
@@ -220,23 +225,93 @@ def test_boundary_profile_matches_the_whitened_map_svd():
         got, want = singular_profile(model), reference_profile(model)
         assert got.shape == want.shape, case
         assert np.allclose(got, want, rtol=0.0, atol=1e-9), case
+        # the certified shrink keeps every semiaxis at or below the reference
+        assert np.all(got <= want + 1e-12), case
         assert np.all(np.diff(got) <= 0.0)
     assert regimes == {"r = 0": 3, "0 < r < k'": 12, "r >= k'": 4}
 
 
-def test_whitening_drops_eigenvalues_below_their_rounding_level():
+def test_whitening_drops_eigenvalues_below_their_rounding_level(monkeypatch):
     # a 1x2 kernel's image on 9 points: the 20 translate columns span the 11
     # points they touch, and eigh reads the 9 null Gram eigenvalues as about
     # +-2e-16 of the largest; a cutoff below that level kept some of them,
-    # and each kept one posed as a unit semiaxis
+    # and each kept one posed as a unit semiaxis.  Cholesky of that Gram
+    # fails or certifies nothing, so the eigh fallback decides.
     rng = rng_for(0, "one-by-two")
     h = ConvolutionKernel.of(Z, {0: rng.normal(size=(1, 2)), 1: rng.normal(size=(1, 2))})
     omega = folner_window(Z, 9)
     model = inner_window_model(ConvImage(h), omega, 2.0)
     assert model.num_columns == 20
-    prof = singular_profile(model)
+    calls = []
+    real = widths._eigh_whitening
+
+    def spy(full):
+        calls.append(full.shape)
+        return real(full)
+
+    monkeypatch.setattr(widths, "_eigh_whitening", spy)
+    q, eta = widths._whitening(model.full_matrix)
+    assert calls == [model.full_matrix.shape]
+    assert q.shape[1] == 11 and eta == 0.0
+    prof, want = singular_profile(model), reference_profile(model)
     assert prof.size <= len(omega) * model.fiber_dim
+    assert prof.shape == want.shape and np.allclose(prof, want, rtol=0.0, atol=1e-9)
     assert ellipsoid_map(model).shape[1] == np.linalg.matrix_rank(model.full_matrix) == 11
+
+
+def test_cholesky_whitening_is_certified_and_tight():
+    model = inner_window_model(ConvImage(diff_kernel()), interval(0, 64), 2.0)
+    full = model.full_matrix
+    q, eta = widths._whitening(full)
+    assert q.shape == full.shape
+    defect = np.linalg.norm(q.T @ q - np.eye(q.shape[1]), 2)
+    assert defect <= eta < 1e-11
+    # the shrink lowers each semiaxis by about 3 eta / 2, ones included
+    got, want = singular_profile(model), reference_profile(model)
+    assert np.all(got <= want + 1e-12) and np.allclose(got, want, rtol=0.0, atol=2.0 * eta)
+    assert np.all(got < 1.0)
+
+
+def test_a_spoiled_whitening_falls_back_to_eigh(monkeypatch):
+    model = inner_window_model(ConvImage(diff_kernel()), interval(0, 12), 2.0)
+    full = model.full_matrix
+    real_inverse, real_eigh = widths._lower_inverse, widths._eigh_whitening
+    w = 1.5 * real_inverse(np.linalg.cholesky(full.T @ full)).T
+    assert widths._orthonormality_defect(full, w, full @ w) >= 1.0
+    calls = []
+
+    def spoiled(low):
+        return 1.5 * real_inverse(low)
+
+    def spy(mat):
+        calls.append(mat.shape)
+        return real_eigh(mat)
+
+    monkeypatch.setattr(widths, "_lower_inverse", spoiled)
+    monkeypatch.setattr(widths, "_eigh_whitening", spy)
+    got, want = singular_profile(model), reference_profile(model)
+    assert calls == [full.shape]
+    assert got.shape == want.shape and np.all(got <= want + 1e-12)
+
+
+def test_p2_grids_never_load_scipy():
+    code = (
+        "import sys\n"
+        "import lpdim\n"
+        "from lpdim.scenarios import difference_kernel\n"
+        "lpdim.estimate_dimension(lpdim.ConvImage(difference_kernel()), 2.0, [64], [0.1])\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = Path(widths.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_conv_image_profile_factorises_only_the_boundary(monkeypatch):
@@ -252,7 +327,11 @@ def test_conv_image_profile_factorises_only_the_boundary(monkeypatch):
         shapes.append(np.shape(a))
         return real_svd(a, *args, **kwargs)
 
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the certified Cholesky whitening needs no eigh")
+
     monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     prof = singular_profile(model)
     assert shapes and all(min(shape) <= r for shape in shapes), shapes
     assert prof.size == model.matrix.shape[0]
@@ -359,15 +438,20 @@ def test_bracket_exact_for_span_ball_bodies_at_every_p():
 def test_thresholds_that_are_not_positive_are_refused():
     # NaN too: it fails every comparison, so a test of eps <= 0 lets it
     # through to made-up counts, such as (16, 16) from the outer model
+    # (diag(0.9, 0.5, 0.2) gave seminorm counts 0 at NaN, 3 at -1 and 0, and 1
+    # at True); a bool is not a scale
     omega = interval(0, 16)
     inner = inner_window_model(ConvImage(diff_kernel()), omega, 2.0)
     outer = outer_window_model(ConvImage(diff_kernel()), omega, 2.0)
-    for bad in (0.0, -1.0, -math.inf, math.nan):
+    body = np.diag([0.9, 0.5, 0.2])
+    for bad in (0.0, -1.0, -math.inf, math.nan, True):
         for call in (
             lambda: ldim_bracket(inner, bad),
             lambda: ldim_bracket(outer, bad),
             lambda: four_widths(inner, bad),
             lambda: four_widths(outer, bad),
+            lambda: ldim_hilbert(inner, bad),
+            lambda: seminorm_cut_count(body, range(3), bad),
         ):
             with pytest.raises(ValueError):
                 call()
