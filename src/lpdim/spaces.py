@@ -12,8 +12,11 @@ off-window rows E are its tail.
     full-space norm is at most one over the union of their supports, and M
     holds their restrictions to the window.  The modeled body,
     restrictions of span elements with full norm <= 1, is certified to sit
-    inside the true restricted ball.  Kernel elements come from a null-space
-    basis, so each is checked after the fact: a column whose residual is
+    inside the true restricted ball.  Kernel elements of a 1x2 kernel
+    h = (h1, h2) on Z with coprime symbols, on an interval window, are the
+    translates of its syzygy (h2, -h1) that fit in the window, which span
+    every kernel element supported there.  Every other kernel takes a
+    null-space basis, checked after the fact: a column whose residual is
     above the rounding level of its own computation is dropped.
   outer polarity: F = M has window rows only.  Its column span provably
     contains every restriction, and the body is span intersected with the
@@ -673,8 +676,62 @@ def _conv_constraint_matrix(
     return mat
 
 
+def _coprime(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two nonzero polynomials, trimmed of leading and trailing zeros,
+    share no root: their Sylvester matrix has full numerical_rank.  A constant
+    is coprime to everything, so no factorisation is needed then."""
+    m, n = len(a) - 1, len(b) - 1
+    if min(m, n) == 0:
+        return True
+    sylvester = np.zeros((m + n, m + n))
+    for i in range(n):
+        sylvester[i, i : i + m + 1] = a
+    for i in range(m):
+        sylvester[n + i, i : i + n + 1] = b
+    return numerical_rank(np.linalg.svd(sylvester, compute_uv=False), sylvester.shape) == m + n
+
+
+def _syzygy_pattern(h: ConvolutionKernel, omega: FiniteSubset):
+    """The Koszul syzygy g = (h2, -h1) of a 1x2 kernel h = (h1, h2) on Z as a
+    one-slot block pattern, where its translates that fit in omega span every
+    kernel element supported there; else None.
+
+    That holds when omega is an interval and h1, h2 are coprime: the Laurent
+    ring of Z is a PID, so every finitely supported kernel element is f g,
+    and on Z supports add at their extremes, so f g lies in omega exactly
+    when each translate of g that f uses does.  Stripping leading and
+    trailing zeros drops the monomial (unit) factors before the test.
+    """
+    if h.group != _Z or (h.dim_out, h.dim_in) != (1, 2):
+        return None
+    points = [c for (c,) in omega.elements]
+    if max(points) - min(points) + 1 != len(omega):
+        return None
+    first = h.blocks[0][0][0]
+    symbols = np.zeros((2, h.blocks[-1][0][0] - first + 1))
+    for (s,), blk in h.blocks:
+        symbols[:, s - first] = blk[0]
+    trimmed = []
+    for symbol in symbols:
+        nonzero = np.flatnonzero(symbol)
+        if nonzero.size == 0:
+            return None
+        trimmed.append(symbol[nonzero[0] : nonzero[-1] + 1])
+    if not _coprime(*trimmed):
+        return None
+    return [((first + j,), np.array([[b], [-a]])) for j, (a, b) in enumerate(symbols.T) if a or b]
+
+
 def _conv_kernel_inner(spec: ConvKernel, omega, p) -> WindowModel:
+    """Translates of the syzygy where they span the window's kernel elements,
+    else a null-space basis checked column by column."""
     h = spec.kernel
+    syzygy = _syzygy_pattern(h, omega)
+    if syzygy is not None:
+        points = [c for (c,) in omega.elements]
+        lo, hi = min(points) - syzygy[0][0][0], max(points) - syzygy[-1][0][0]
+        sources = [(t,) for t in range(lo, hi + 1)]
+        return _translate_model(omega, p, h.dim_in, sources, syzygy, normalize=True)
     rows = _product_coords(h.group, omega.elements, [c for c, _ in h.blocks])
     basis = _null_space(_conv_constraint_matrix(h, rows, omega), checked=True)
     return _genuine_model(omega, p, h.dim_in, omega.elements, basis, normalize=True)

@@ -47,14 +47,15 @@ from .tiling import alpha_fraction, greedy_pack, quasi_tile
 from .widths import (
     SolverSettings,
     WindowModel,
+    _width_counts,
     ellipsoid_map,
-    four_widths,
     kernel_defect_check,
     ldim_bracket,
     ldim_hilbert,
     mazur,
     nearest_point,
     seminorm_cut_count,
+    singular_profile,
 )
 
 _Z = GroupSpec.integer_lattice(1)
@@ -338,10 +339,12 @@ def property_suite(config: Optional[dict] = None, seed: int = 0) -> SuiteReport:
                 full_matrix=np.vstack([np.diag(sig), np.diag(np.sqrt(1.0 - sig**2))]),
                 full_support=tuple((t,) for t in range(2 * n)),
             )
+            # one profile per ellipsoid; four_widths would factorise it per count
+            sigma = singular_profile(model)
             for eps in (1.6, 0.9, 0.4):
-                wide = four_widths(model, 2.0 * eps).inscribed
-                cut = four_widths(model, eps).diameter_cut
-                narrow = four_widths(model, eps / 2.0).radius_cut
+                wide = _width_counts(sigma, 2.0 * eps).inscribed
+                cut = _width_counts(sigma, eps).diameter_cut
+                narrow = _width_counts(sigma, eps / 2.0).radius_cut
                 _require(wide <= cut <= narrow, f"width chain broke on trial {trial} at eps {eps}")
         return "inscribed(2e) <= cut(e) <= radius(e/2) on 40 seeded ellipsoids"
 

@@ -513,9 +513,12 @@ def four_widths(model: WindowModel, eps: float) -> WidthCounts:
         raise CapabilityError("width quartet is computed in the p = 2 window")
     _check_eps(eps)
     if model.polarity in ("outer", "exact"):
-        sigma = np.ones(model.rank())
-    else:
-        sigma = singular_profile(model)
+        return _width_counts(np.ones(model.rank()), eps)
+    return _width_counts(singular_profile(model), eps)
+
+
+def _width_counts(sigma: np.ndarray, eps: float) -> WidthCounts:
+    """The four counts of an ellipsoid with semiaxes sigma at scale eps."""
     # ties include for the inscribed counts, exclude for the cut counts,
     # with the counting guard absorbing whitening roundoff either way
     at_least = int(np.sum(sigma >= eps - COUNT_TOL))

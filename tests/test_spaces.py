@@ -343,6 +343,99 @@ def test_rank_rule_counts_singular_values_above_their_rounding_level():
     assert [(c.count_lo, c.count_hi) for c in cells] == [(5, 6), (5, 6)]
 
 
+def svd_kernel_basis(h, omega):
+    """Orthonormal checked null space of the window's constraint matrix, the
+    reference for every ConvKernel inner model."""
+    rows = spaces._product_coords(h.group, omega.elements, [c for c, _ in h.blocks])
+    return spaces._null_space(spaces._conv_constraint_matrix(h, rows, omega), checked=True)
+
+
+def assert_syzygy_span_is_the_null_space(h, omega):
+    assert spaces._syzygy_pattern(h, omega) is not None
+    model = inner_window_model(ConvKernel(h), omega, 2.0)
+    basis = svd_kernel_basis(h, omega)
+    assert model.full_support == omega.elements
+    assert model.num_columns == basis.shape[1]
+    if basis.shape[1]:
+        # sines of the principal angles between the two spans
+        q, _ = np.linalg.qr(model.full_matrix)
+        assert np.linalg.norm(basis - q @ (q.T @ basis), 2) <= 1e-12
+    for col in model.full_matrix.T:
+        points = np.unique(np.flatnonzero(col) // 2)
+        y = SupportedMap(Z, 2, {omega.elements[i]: col[2 * i : 2 * i + 2] for i in points})
+        assert convolve(h, y).norm(math.inf) <= 1e-14 * h.l1_norm
+
+
+@pytest.mark.parametrize("name", ["conv_kernel", "direct_sum"])
+def test_syzygy_span_is_the_null_space_on_registry_windows(name):
+    scenario = REGISTRY[name]
+    spec = scenario.build()
+    h = (spec if isinstance(spec, ConvKernel) else spec.right).kernel
+    for size in scenario.windows:
+        assert_syzygy_span_is_the_null_space(h, folner_window(Z, size))
+
+
+def test_syzygy_span_is_the_null_space_on_ladder_kernels():
+    rng = rng_for(12, "ladder-kernels")
+    for a, b in rng.uniform(0.5, 2.0, size=(2, 2)):
+        h = ConvolutionKernel.of(Z, {0: [[a, 0.0]], 1: [[0.0, b]]})
+        for size in (128, 256, 512):
+            assert_syzygy_span_is_the_null_space(h, folner_window(Z, size))
+
+
+def test_syzygy_span_is_the_null_space_on_random_kernels():
+    rng = rng_for(12, "random-syzygy")
+    taken = 0
+    while taken < 60:
+        first, length = int(rng.integers(-4, 2)), int(rng.integers(1, 5))
+        entries = {s: rng.standard_normal((1, 2)) for s in range(first, first + length)}
+        for blk in entries.values():
+            blk[rng.random((1, 2)) < 0.3] = 0.0
+        h = ConvolutionKernel.of(Z, entries)
+        if not all(any(blk[0, k] != 0.0 for blk in entries.values()) for k in range(2)):
+            continue
+        start = int(rng.integers(-8, 0))
+        assert_syzygy_span_is_the_null_space(h, interval(start, start + int(rng.integers(1, 30))))
+        taken += 1
+
+
+def test_kernel_inner_falls_back_to_the_checked_null_space():
+    z2 = GroupSpec.integer_lattice(2)
+    cases = [
+        # shared factor 1 + z: the syzygy (h2, -h1) has support 3, but the
+        # kernel holds (1, z - 1) of support 2, one more element per window
+        (ConvolutionKernel.of(Z, {0: [[1.0, 1.0]], 1: [[0.0, 1.0]], 2: [[-1.0, 0.0]]}), interval(-3, 9), 11),
+        # a zero h2 frees the whole second slot
+        (ConvolutionKernel.of(Z, {0: [[1.0, 0.0]], 1: [[1.0, 0.0]]}), interval(0, 8), 8),
+        (block_kernel(), FiniteSubset.of(Z, [0, 1, 2, 5, 6, 7]), 4),
+        (ConvolutionKernel.scalar(C6, {0: 1.0, 1: -(1.0 - 1e-9)}), folner_window(C6, 1), 0),
+        (ConvolutionKernel.of(z2, {(0, 0): [[1.0, 0.0]], (1, 0): [[0.0, 1.0]]}), folner_window(z2, 4), 12),
+    ]
+    for h, omega, nullity in cases:
+        assert spaces._syzygy_pattern(h, omega) is None
+        basis = svd_kernel_basis(h, omega)
+        expected = basis / np.array([lp_norm(col, 2.0) for col in basis.T])
+        model = inner_window_model(ConvKernel(h), omega, 2.0)
+        assert model.num_columns == nullity
+        assert np.array_equal(model.full_matrix, expected)
+
+
+def test_conv_kernel_inner_takes_no_window_sized_svd(monkeypatch):
+    # both symbols of the registry kernel are monomials, so their Sylvester
+    # matrix is empty and no factorisation at all is needed
+    sizes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.asarray(a).size)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    model = inner_window_model(ConvKernel(REGISTRY["conv_kernel"].build().kernel), folner_window(Z, 512), 2.0)
+    assert model.num_columns == 511
+    assert all(size <= 0 for size in sizes)
+
+
 def test_conv_image_models_frozen_dimensions():
     omega = interval(0, 8)
     inner = inner_window_model(ConvImage(diff_kernel()), omega, 2.0)
