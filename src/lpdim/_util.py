@@ -25,6 +25,14 @@ def numerical_rank(s, shape) -> int:
     return int(np.count_nonzero(s > s[0] * max(shape) * np.finfo(float).eps))
 
 
+def matrix_rank(mat) -> int:
+    """numerical_rank of mat's singular values, 0 for an empty matrix."""
+    mat = np.asarray(mat)
+    if mat.size == 0:
+        return 0
+    return numerical_rank(np.linalg.svd(mat, compute_uv=False), mat.shape)
+
+
 def lp_norm(x, p: float) -> float:
     """The coordinate lp norm of a flat array (max norm for p = inf)."""
     x = np.asarray(x, dtype=float).ravel()

@@ -54,11 +54,10 @@ from .groups import FiniteSubset, folner_size, folner_window
 from .spaces import (
     CyclicTranslates,
     SubspaceSpec,
-    SupportedMap,
+    _placement,
     annihilator_spec,
     inner_window_model,
     outer_rank,
-    pairing,
 )
 from .tiling import greedy_pack
 from .widths import SolverSettings, bracket_counts, bracket_profile, mazur, nearest_point
@@ -368,6 +367,9 @@ def build_Q(spec: SubspaceSpec, omega: FiniteSubset, p: float):
     Q from the identity is certified to stay within the amplified tail
     eps1; the measured defect is checked against that certificate.
 
+    The functional and the generator are one two-slot pattern, placed at
+    the centers by spaces._placement, and Q is one product of their columns.
+
     The declared tail bound is verified against the normalized generator
     first; TailBoundError carries the measured value when either check
     fails.  A window over WINDOW_BUDGET coordinates raises CapabilityError
@@ -382,44 +384,34 @@ def build_Q(spec: SubspaceSpec, omega: FiniteSubset, p: float):
         raise StructureError("window and generator live over different groups")
     _check_budget("the window", len(omega) * spec.fiber_dim)
 
-    y = spec.generator
-    y = y.scaled(1.0 / y.norm(p))
-    core = spec.core
-    tail_vals = [v for c, v in y.data.items() if c not in core]
-    measured = lp_norm(np.concatenate([np.ravel(v) for v in tail_vals]), p) if tail_vals else 0.0
+    gen, core = spec.generator, spec.core
+    offsets = gen.support
+    y = np.array([gen.data[c] for c in offsets]) * (1.0 / gen.norm(p))
+    in_core = np.array([c in core for c in offsets])
+    measured = lp_norm(y[~in_core], p)
     if measured > spec.tail_eps + 1e-9:
         raise TailBoundError(
             "off-core tail of the normalized generator exceeds its declared bound",
             measured=measured,
         )
 
-    restricted = SupportedMap(y.group, y.dim, {c: v for c, v in y.data.items() if c in core})
-    core_norm = restricted.norm(p)
+    core_norm = lp_norm(y[in_core], p)
     if core_norm == 0.0:
         raise StructureError("generator vanishes on its core")
+    star = np.zeros_like(y)
     if p == 1.0:
-        star_data = {c: np.sign(v) / core_norm for c, v in restricted.data.items()}
+        star[in_core] = np.sign(y[in_core]) / core_norm
     else:
-        star_data = {c: mazur(v, p) / core_norm**p for c, v in restricted.data.items()}
-    star = SupportedMap(y.group, y.dim, star_data)
-    if abs(pairing(star, restricted) - 1.0) > 1e-9:
+        star[in_core] = mazur(y[in_core], p) / core_norm**p
+    if abs(np.vdot(star, y) - 1.0) > 1e-9:
         raise RuntimeError("norming functional failed to pair to one")
 
-    pack = greedy_pack(omega, core)
-    centers = list(pack.centers)
+    centers = greedy_pack(omega, core).centers.elements
     m = len(centers)
-    q = np.zeros((m, m))
-    star_t = [star.translated(g) for g in centers]
-    y_t = [y.translated(g) for g in centers]
-    for j in range(m):
-        for k in range(m):
-            q[j, k] = pairing(star_t[j], y_t[k])
-
-    defect = 0.0
-    for k in range(m):
-        col = q[:, k].copy()
-        col[k] -= 1.0
-        defect = max(defect, lp_norm(col, p))
+    pattern = list(zip(offsets, np.stack([star, y], axis=2)))
+    _, translates = _placement(spec.group, centers, pattern, spec.fiber_dim)
+    q = translates[:, 0::2].T @ translates[:, 1::2]
+    defect = max((lp_norm(col, p) for col in (q - np.eye(m)).T), default=0.0)
     eps1 = _amplified_tail(spec.tail_eps, p)
     if defect > eps1 + 1e-9:
         raise TailBoundError(

@@ -5,7 +5,9 @@ A group is a finite product of axes, each either an infinite cyclic axis
 integer coordinate tuples with one slot per axis; cyclic slots are always
 stored reduced mod n.  The canonical order on elements and finite subsets
 is lexicographic on coordinates, which is what every greedy scan in the
-tiling module relies on for determinism.
+tiling module relies on for determinism.  The translators of a shape that
+meet a window or fit inside it are enumerated here, for the tilings and the
+window models alike.
 """
 
 from __future__ import annotations
@@ -96,6 +98,31 @@ def compose_coords(group: GroupSpec, a: Coords, b: Coords) -> Coords:
 
 def invert_coords(group: GroupSpec, a: Coords) -> Coords:
     return group.reduce(-x for x in a)
+
+
+def translator_sets(omega: FiniteSubset, shape) -> tuple[list[Coords], list[Coords]]:
+    """(omega . shape^-1, {gamma : gamma . shape inside omega}), canonical order.
+
+    gamma . shape meets omega when gamma lies in some layer omega . s^-1, s in
+    the nonempty shape, and fits inside omega when it lies in every layer, so
+    one scan composing each (window point, shape point) pair once gives both.
+    """
+    grp = omega.group
+    inverses = [invert_coords(grp, s) for s in shape]
+    if not inverses:
+        raise ValueError("translator sets need a nonempty shape")
+    layers = [{compose_coords(grp, w, t) for w in omega.elements} for t in inverses]
+    return sorted(set().union(*layers)), sorted(set.intersection(*layers))
+
+
+def translators_meeting(omega: FiniteSubset, shape) -> list[Coords]:
+    """Every gamma whose translate gamma . shape meets omega, canonical order."""
+    return translator_sets(omega, shape)[0]
+
+
+def translators_inside(omega: FiniteSubset, shape) -> list[Coords]:
+    """Every gamma whose translate gamma . shape lies inside omega, canonical order."""
+    return translator_sets(omega, shape)[1]
 
 
 @dataclass(frozen=True)

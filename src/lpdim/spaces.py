@@ -42,6 +42,10 @@ Direct sums, reductions and inductions are split into parts in one place,
 _parts; window models stack the parts' models and outer ranks add their
 ranks.  Annihilators resolve to their closed-form duals first.
 
+One routine, _placement, lays out every matrix of translates: inner
+translate columns, kernel constraint rows and the pairing matrix of
+dimension.build_Q.  Translators meeting or inside a window come from groups.
+
 Width computations downstream turn inner models into certified lower counts
 and outer models into certified upper counts.  The fiber norm on vector
 values is the coordinate p-sum, which is what makes index-d reindexing an
@@ -56,7 +60,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._util import check_exponent, lp_norm, numerical_rank
+from ._util import check_exponent, lp_norm, matrix_rank, numerical_rank
 from .errors import CapabilityError, StructureError
 from .groups import (
     Coords,
@@ -64,6 +68,8 @@ from .groups import (
     GroupSpec,
     compose_coords,
     invert_coords,
+    translators_inside,
+    translators_meeting,
 )
 
 _Z = GroupSpec.integer_lattice(1)
@@ -93,6 +99,8 @@ class SupportedMap:
             c = _as_coords(group, key)
             acc[c] = acc[c] + vec if c in acc else vec
         self.data = {c: v for c, v in acc.items() if np.any(v != 0.0)}
+        if self.data and not np.isfinite(np.concatenate(list(self.data.values()))).all():
+            raise StructureError("map values must be finite")
 
     @staticmethod
     def delta(group: GroupSpec, at, dim: int = 1, slot: int = 0) -> "SupportedMap":
@@ -176,6 +184,8 @@ class ConvolutionKernel:
                     f"kernel blocks disagree in shape: {arr.shape} vs {shape}"
                 )
             parsed[_as_coords(group, key)] = arr
+        if not np.isfinite(np.array(list(parsed.values()))).all():
+            raise StructureError("kernel blocks must be finite")
         blocks = tuple((c, parsed[c]) for c in sorted(parsed))
         return ConvolutionKernel(group, shape[1], shape[0], blocks)
 
@@ -549,10 +559,7 @@ class WindowModel:
         return self.full_matrix.shape[1]
 
     def rank(self) -> int:
-        mat = self.matrix
-        if mat.size == 0:
-            return 0
-        return numerical_rank(np.linalg.svd(mat, compute_uv=False), mat.shape)
+        return matrix_rank(self.matrix)
 
 
 def _window_ball(
@@ -586,35 +593,36 @@ def _genuine_model(
     return WindowModel(window, p, fiber, "inner", full, tuple(coords))
 
 
-def _translate_model(
-    window: FiniteSubset,
-    p: float,
-    fiber: int,
-    sources: Sequence[Coords],
-    pattern: Sequence[tuple[Coords, np.ndarray]],
-    normalize: bool,
-) -> WindowModel:
-    """Inner model whose columns are translates of one block pattern.
+def _placement(grp: GroupSpec, sources, pattern, fiber: int, lead=()) -> tuple[list, np.ndarray]:
+    """(points, matrix) of the translates of one block pattern at sources.
 
     pattern lists (offset s, block) pairs, each block of shape (fiber, slots).
     The column for source gamma and slot v carries block[:, v] at gamma * s;
-    columns run over sources in the given order with the slot fastest.  Rows
-    cover the window, then every other point where some column is nonzero.
+    columns run over sources in the given order with the slot fastest, and
+    each (source, offset) pair is composed once.  The points are lead, then
+    every other point where some column is nonzero, sorted; the matrix has
+    fiber rows per point, fiber slots fastest.
     """
-    grp = window.group
     slots = pattern[0][1].shape[1]
     targets = [[compose_coords(grp, g, s) for g in sources] for s, _ in pattern]
-    points = list(window.elements) + sorted(set().union(*targets) - window.coord_set)
+    points = list(lead) + sorted(set().union(*targets).difference(lead))
     pos = {c: i for i, c in enumerate(points)}
     cube = np.zeros((len(points), fiber, len(sources), slots))
     src = np.arange(len(sources))
     for (_, blk), tgt in zip(pattern, targets):
         cube[np.asarray([pos[c] for c in tgt], dtype=int), :, src, :] = blk
     live = np.any(cube != 0.0, axis=(1, 2, 3))
-    live[: len(window)] = True
-    keep = np.flatnonzero(live)
-    full = cube[keep].reshape(len(keep) * fiber, len(sources) * slots)
-    return _genuine_model(window, p, fiber, [points[i] for i in keep], full, normalize)
+    live[: len(lead)] = True
+    if not live.all():
+        cube, points = cube[live], [c for c, alive in zip(points, live) if alive]
+    return points, cube.reshape(len(points) * fiber, len(sources) * slots)
+
+
+def _translate_model(window: FiniteSubset, p, fiber, sources, pattern, normalize) -> WindowModel:
+    """Inner model of the translates of one block pattern at sources, laid
+    out by _placement with the window's points leading."""
+    points, full = _placement(window.group, sources, pattern, fiber, lead=window.elements)
+    return _genuine_model(window, p, fiber, points, full, normalize)
 
 
 def _translate_span(omega, p, polarity, fiber, pattern) -> WindowModel:
@@ -623,16 +631,11 @@ def _translate_span(omega, p, polarity, fiber, pattern) -> WindowModel:
     The inner model holds them as genuine elements; the outer model is the
     span of their window restrictions.
     """
-    grp = omega.group
-    sources = _product_coords(grp, omega.elements, [invert_coords(grp, s) for s, _ in pattern])
+    sources = translators_meeting(omega, [s for s, _ in pattern])
     model = _translate_model(omega, p, fiber, sources, pattern, normalize=True)
     if polarity == "outer":
         return _window_ball(omega, p, fiber, "outer", model.matrix)
     return model
-
-
-def _product_coords(grp: GroupSpec, a, b) -> list[Coords]:
-    return sorted({compose_coords(grp, x, y) for x in a for y in b})
 
 
 def _null_space(mat: np.ndarray, checked: bool = False) -> np.ndarray:
@@ -658,22 +661,11 @@ def _null_space(mat: np.ndarray, checked: bool = False) -> np.ndarray:
     return basis
 
 
-def _conv_constraint_matrix(
-    h: ConvolutionKernel, rows: Sequence[Coords], cols: FiniteSubset
-) -> np.ndarray:
-    """Matrix of the equations (h * y)(row) = 0 for y supported on cols."""
-    grp = h.group
-    d_in, d_out = h.dim_in, h.dim_out
-    mat = np.zeros((len(rows) * d_out, len(cols) * d_in))
-    col_pos = cols.positions
-    for s, blk in h.blocks:
-        s_inv = invert_coords(grp, s)
-        for r, eta in enumerate(rows):
-            w = compose_coords(grp, eta, s_inv)
-            j = col_pos.get(w)
-            if j is not None:
-                mat[r * d_out : (r + 1) * d_out, j * d_in : (j + 1) * d_in] += blk
-    return mat
+def _conv_constraint_matrix(h: ConvolutionKernel, rows, cols: FiniteSubset) -> np.ndarray:
+    """Matrix of the equations (h * y)(row) = 0 for y supported on cols:
+    column (w, v) is the translate by w of h's slot v, read on rows."""
+    _, full = _placement(h.group, cols.elements, h.blocks, h.dim_out, lead=rows)
+    return full[: len(rows) * h.dim_out]
 
 
 def _coprime(a: np.ndarray, b: np.ndarray) -> bool:
@@ -688,7 +680,7 @@ def _coprime(a: np.ndarray, b: np.ndarray) -> bool:
         sylvester[i, i : i + m + 1] = a
     for i in range(m):
         sylvester[n + i, i : i + n + 1] = b
-    return numerical_rank(np.linalg.svd(sylvester, compute_uv=False), sylvester.shape) == m + n
+    return matrix_rank(sylvester) == m + n
 
 
 def _syzygy_pattern(h: ConvolutionKernel, omega: FiniteSubset):
@@ -732,20 +724,14 @@ def _conv_kernel_inner(spec: ConvKernel, omega, p) -> WindowModel:
         lo, hi = min(points) - syzygy[0][0][0], max(points) - syzygy[-1][0][0]
         sources = [(t,) for t in range(lo, hi + 1)]
         return _translate_model(omega, p, h.dim_in, sources, syzygy, normalize=True)
-    rows = _product_coords(h.group, omega.elements, [c for c, _ in h.blocks])
+    rows = translators_meeting(omega, [invert_coords(h.group, c) for c, _ in h.blocks])
     basis = _null_space(_conv_constraint_matrix(h, rows, omega), checked=True)
     return _genuine_model(omega, p, h.dim_in, omega.elements, basis, normalize=True)
 
 
 def _interior_rows(h: ConvolutionKernel, omega: FiniteSubset) -> list[Coords]:
     """Points eta whose whole constraint (h * y)(eta) reads inside the window."""
-    inv_support = [invert_coords(h.group, c) for c, _ in h.blocks]
-    window_set = omega.coord_set
-    return [
-        eta
-        for eta in _product_coords(h.group, omega.elements, [c for c, _ in h.blocks])
-        if all(compose_coords(h.group, eta, s) in window_set for s in inv_support)
-    ]
+    return translators_inside(omega, [invert_coords(h.group, c) for c, _ in h.blocks])
 
 
 def _conv_kernel_outer(spec: ConvKernel, omega, p) -> WindowModel:
@@ -887,9 +873,8 @@ def _coset_slices(omega: FiniteSubset, d: int) -> list[tuple[int, FiniteSubset]]
 
 
 def _full_row_rank(blk: np.ndarray) -> bool:
-    """Whether a pivot block has full row rank by numerical_rank."""
-    s = np.linalg.svd(blk, compute_uv=False)
-    return blk.shape[0] <= blk.shape[1] and numerical_rank(s, blk.shape) == blk.shape[0]
+    """Whether a pivot block has full row rank by matrix_rank."""
+    return blk.shape[0] <= blk.shape[1] and matrix_rank(blk) == blk.shape[0]
 
 
 def inner_window_model(spec: SubspaceSpec, omega: FiniteSubset, p: float) -> WindowModel:

@@ -2,7 +2,9 @@
 
 Everything here is exact set combinatorics: boundaries are enumerated, packing
 bounds are rationals, and the only real number in sight is the epsilon of a
-quasi-tiling.  All scans run in the canonical lexicographic order of the
+quasi-tiling.  The translators of a shape that meet a window or fit inside it
+come from groups.translator_sets, which the window models of the spaces
+module share.  All scans run in the canonical lexicographic order of the
 groups module, so results are deterministic and reproducible.
 """
 
@@ -19,7 +21,8 @@ from .groups import (
     FiniteSubset,
     GroupSpec,
     compose_coords,
-    invert_coords,
+    translator_sets,
+    translators_inside,
 )
 
 
@@ -31,16 +34,6 @@ def _same_group(*sets: FiniteSubset) -> GroupSpec:
     return grp
 
 
-def _translators_touching(omega: FiniteSubset, shape: FiniteSubset) -> list[Coords]:
-    """All gamma with (gamma . shape) meeting omega, i.e. omega . shape^-1."""
-    grp = _same_group(omega, shape)
-    out = set()
-    for w in omega.elements:
-        for f in shape.elements:
-            out.add(compose_coords(grp, w, invert_coords(grp, f)))
-    return sorted(out)
-
-
 def _tile_coords(grp: GroupSpec, gamma: Coords, shape: FiniteSubset) -> frozenset:
     return frozenset(compose_coords(grp, gamma, f) for f in shape.elements)
 
@@ -50,13 +43,8 @@ def boundary(omega: FiniteSubset, shape: FiniteSubset) -> FiniteSubset:
     if shape.is_empty():
         raise ValueError("boundary needs a nonempty shape")
     grp = _same_group(omega, shape)
-    inside = omega.coord_set
-    out = [
-        g
-        for g in _translators_touching(omega, shape)
-        if not _tile_coords(grp, g, shape) <= inside
-    ]
-    return FiniteSubset(grp, tuple(out))
+    meeting, inside = translator_sets(omega, shape)
+    return FiniteSubset(grp, tuple(sorted(set(meeting).difference(inside))))
 
 
 def alpha_fraction(omega: FiniteSubset, shape: FiniteSubset) -> Fraction:
@@ -80,21 +68,10 @@ def interior(omega: FiniteSubset, shape: FiniteSubset) -> FiniteSubset:
 
     When the shape contains the identity this equals the set of translators
     whose whole tile sits inside omega.  The packing and quasi-tiling scans
-    do not call it: _inside_translators lists those translators directly,
-    for shapes without the identity too.
+    do not call it: groups.translators_inside lists those translators
+    directly, for shapes without the identity too.
     """
     return omega.difference(boundary(omega, shape))
-
-
-def _inside_translators(omega: FiniteSubset, shape: FiniteSubset) -> list[Coords]:
-    """All gamma with (gamma . shape) contained in omega, canonical order."""
-    grp = omega.group
-    inside = omega.coord_set
-    return [
-        g
-        for g in _translators_touching(omega, shape)
-        if _tile_coords(grp, g, shape) <= inside
-    ]
 
 
 @dataclass(frozen=True)
@@ -146,14 +123,15 @@ def greedy_pack(omega: FiniteSubset, shape: FiniteSubset) -> PackingResult:
     if shape.is_empty():
         raise ValueError("greedy_pack needs a nonempty shape")
     grp = _same_group(omega, shape)
+    meeting, inside = translator_sets(omega, shape)
     claimed: set = set()
     centers = []
-    for g in _inside_translators(omega, shape):
+    for g in inside:
         tile = _tile_coords(grp, g, shape)
         if claimed.isdisjoint(tile):
             centers.append(g)
             claimed |= tile
-    bd = len(boundary(omega, shape))
+    bd = len(meeting) - len(inside)
     return PackingResult(
         window=omega,
         shape=shape,
@@ -348,7 +326,7 @@ def quasi_tile(
     tiles = []
     for j in order:
         shape = shapes[j]
-        for g in _inside_translators(omega, shape):
+        for g in translators_inside(omega, shape):
             full = _tile_coords(grp, g, shape)
             reduced = full - claimed
             if len(reduced) > (1.0 - eps) * len(full) + COUNT_TOL:

@@ -52,6 +52,7 @@ from ._util import (
     check_exponent,
     conjugate_exponent,
     lp_norm,
+    matrix_rank,
     numerical_rank,
     rng_for,
     to_float,
@@ -723,7 +724,7 @@ def kernel_defect_check(op: np.ndarray, p: float) -> KernelDefectReport:
         return KernelDefectReport(0.0, 0, 0.0, True)
     gap = op - np.eye(n)
     defect = float(max(lp_norm(gap[:, j], p) for j in range(n)))
-    nullity = n - numerical_rank(np.linalg.svd(op, compute_uv=False), op.shape)
+    nullity = n - matrix_rank(op)
     bound = n * defect * defect
     return KernelDefectReport(
         defect=defect,

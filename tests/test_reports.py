@@ -1,4 +1,5 @@
-"""Byte pins of the `lpdim run --out` report for every registry scenario.
+"""Byte pins of the `lpdim run --out` report for every registry scenario,
+and of the `lpdim verify --seed S --out` report for four suite seeds.
 
 A change that claims to keep reports byte-identical keeps these sha256
 prefixes.  The reports carry floats from dense factorisations, so a numpy
@@ -31,6 +32,14 @@ REPORT_SHA256 = {
 }
 
 
+VERIFY_SHA256 = {
+    0: "c8d173415cdd",
+    5: "33efda8f8cf2",
+    17: "0f64b2518425",
+    40: "5cc2cc4e9b5b",
+}
+
+
 def test_every_registry_scenario_is_pinned():
     assert sorted(REPORT_SHA256) == list(scenario_names())
 
@@ -40,3 +49,10 @@ def test_run_report_bytes_are_pinned(name, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert cli.main(["run", "--scenario", name, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:12] == REPORT_SHA256[name]
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_SHA256))
+def test_verify_report_bytes_are_pinned(seed, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--seed", str(seed), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:12] == VERIFY_SHA256[seed]

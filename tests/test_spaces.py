@@ -10,8 +10,15 @@ from hypothesis import strategies as st
 from lpdim import spaces
 from lpdim._util import lp_norm, rng_for
 from lpdim.errors import CapabilityError, StructureError
-from lpdim.groups import FiniteSubset, GroupSpec, folner_window
-from lpdim.scenarios import REGISTRY
+from lpdim.groups import (
+    FiniteSubset,
+    GroupSpec,
+    folner_window,
+    invert_coords,
+    translators_meeting,
+)
+from lpdim.dimension import build_Q
+from lpdim.scenarios import REGISTRY, geometric_translates, near_dirac_translates
 from lpdim.spaces import (
     Annihilator,
     ConvImage,
@@ -111,6 +118,14 @@ def test_supported_map_translation_wraps_on_cyclic_groups():
     assert t.value(2)[0] == 2.0
 
 
+def test_non_finite_map_values_are_refused():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(StructureError, match="finite"):
+            SupportedMap(Z, 1, {0: [1.0], 3: [bad]})
+        with pytest.raises(StructureError, match="finite"):
+            SupportedMap(C6, 2, {1: [bad, 0.0]})
+
+
 # ------------------------------------------------------------- convolution
 
 
@@ -154,6 +169,14 @@ def test_convolve_rejects_mismatched_shapes():
         convolve(block_kernel(), SupportedMap.delta(Z, 0, dim=1))
     with pytest.raises(StructureError):
         convolve(diff_kernel(), SupportedMap.delta(C6, 0))
+
+
+def test_non_finite_kernel_blocks_are_refused():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(StructureError, match="finite"):
+            ConvolutionKernel.scalar(Z, {0: 1.0, 1: bad})
+        with pytest.raises(StructureError, match="finite"):
+            ConvolutionKernel.of(C6, {0: [[1.0, 0.0]], 2: [[0.0, bad]]})
 
 
 def test_young_inequality_on_random_pairs():
@@ -346,7 +369,7 @@ def test_rank_rule_counts_singular_values_above_their_rounding_level():
 def svd_kernel_basis(h, omega):
     """Orthonormal checked null space of the window's constraint matrix, the
     reference for every ConvKernel inner model."""
-    rows = spaces._product_coords(h.group, omega.elements, [c for c, _ in h.blocks])
+    rows = translators_meeting(omega, [invert_coords(h.group, c) for c, _ in h.blocks])
     return spaces._null_space(spaces._conv_constraint_matrix(h, rows, omega), checked=True)
 
 
@@ -526,6 +549,77 @@ def test_inner_translate_columns_match_supported_map_reference():
             assert column_norms(model) == tuple(norms)
             rows = [support.index(c) * f + k for c in omega for k in range(f)]
             assert np.array_equal(model.matrix, model.full_matrix[rows])
+
+
+def test_constraint_columns_match_the_convolve_reference():
+    """Column (w, v) of the constraint matrix is h * (delta_w e_v) read on the
+    rows, for the rows omega . S of the inner fallback and for the interior
+    rows of the outer model."""
+    zc3 = GroupSpec((0, 3))
+    z2 = GroupSpec.integer_lattice(2)
+    cases = [
+        (block_kernel(), interval(-2, 6)),
+        (ConvolutionKernel.of(Z, {0: [[1.0, 0.0], [2.0, -1.0]], 3: [[0.5, 0.5], [0.0, 1.0]]}),
+         FiniteSubset.of(Z, [0, 1, 2, 5, 6, 9])),
+        (ConvolutionKernel.scalar(C6, {0: 1.0, 1: -0.5, 5: 0.25}), FiniteSubset.of(C6, range(6))),
+        (ConvolutionKernel.of(C6, {0: [[1.0, 0.5]], 2: [[0.0, -1.0]]}), FiniteSubset.of(C6, [0, 1, 2, 4])),
+        (ConvolutionKernel.of(zc3, {(0, 0): [[1.0, 0.0]], (1, 2): [[0.0, 2.0]], (0, 1): [[0.5, -1.0]]}),
+         FiniteSubset.of(zc3, [(t, g) for t in range(4) for g in range(3)])),
+        (ConvolutionKernel.of(z2, {(0, 0): [[1.0, 0.0]], (1, 0): [[0.0, 1.0]], (0, 1): [[-0.5, 0.0]]}),
+         folner_window(z2, 4)),
+        (ConvolutionKernel.scalar(z2, {(0, 0): 1.0, (1, -1): -1.0}),
+         FiniteSubset.of(z2, [(0, 0), (0, 2), (1, 1), (3, -1), (2, 1), (2, 0)])),
+    ]
+    for h, omega in cases:
+        grp = h.group
+        support = [s for s, _ in h.blocks]
+        every_row = sorted({grp.reduce(a + b for a, b in zip(w, s)) for w in omega for s in support})
+        inside = [
+            eta
+            for eta in every_row
+            if all(grp.reduce(a - b for a, b in zip(eta, s)) in omega for s in support)
+        ]
+        assert inside
+        assert spaces._interior_rows(h, omega) == inside
+        for rows in (every_row, inside):
+            mat = spaces._conv_constraint_matrix(h, rows, omega)
+            assert mat.shape == (len(rows) * h.dim_out, len(omega) * h.dim_in)
+            for j, w in enumerate(omega):
+                for v in range(h.dim_in):
+                    image = convolve(h, SupportedMap.delta(grp, w, h.dim_in, v))
+                    reference = np.concatenate([image.value(eta) for eta in rows])
+                    assert np.array_equal(mat[:, j * h.dim_in + v], reference), (grp, w, v)
+
+
+def test_build_q_matches_the_pairing_reference():
+    """Q[j, k] is the pairing of the norming functional at center j with the
+    normalized generator at center k, both rebuilt here as SupportedMaps."""
+    zc3 = GroupSpec((0, 3))
+    z2 = GroupSpec.integer_lattice(2)
+    cases = [
+        (geometric_translates(), folner_window(Z, 32)),
+        (near_dirac_translates(6), folner_window(Z, 32)),
+        (CyclicTranslates(SupportedMap(z2, 1, {(0, 0): 1.0, (1, 0): 0.5, (0, 1): 0.25}),
+                          FiniteSubset.of(z2, [(0, 0), (1, 0)]), 0.3), folner_window(z2, 6)),
+        (CyclicTranslates(SupportedMap(zc3, 2, {(0, 0): [1.0, 0.0], (1, 2): [0.5, -0.5]}),
+                          FiniteSubset.of(zc3, [(0, 0)]), 0.6), folner_window(zc3, 8)),
+    ]
+    for spec, omega in cases:
+        centers = greedy_pack(omega, spec.core).centers.elements
+        assert len(centers) > 1
+        for p in (1.0, 1.5, 2.0):
+            q, report = build_Q(spec, omega, p)
+            y = spec.generator.scaled(1.0 / spec.generator.norm(p))
+            core = {c: v for c, v in y.data.items() if c in spec.core}
+            core_norm = SupportedMap(spec.group, y.dim, core).norm(p)
+            star = SupportedMap(
+                spec.group,
+                y.dim,
+                {c: np.sign(v) * np.abs(v) ** (p - 1.0) / core_norm**p for c, v in core.items()},
+            )
+            expected = [[pairing(star.translated(a), y.translated(b)) for b in centers] for a in centers]
+            assert report.packing_count == len(centers)
+            assert np.abs(q - np.array(expected)).max() <= 1e-15, (spec.describe(), p)
 
 
 def test_inner_spans_sit_inside_outer_spans():

@@ -51,6 +51,18 @@ def boundary_oracle_z(omega, shape, scan=range(-80, 120)):
     return tuple(hits)
 
 
+def boundary_oracle(omega, shape, scan=range(-12, 24)):
+    """Direct scan of candidate translators: scan on every infinite axis,
+    the whole axis on every cyclic one."""
+    moduli = omega.group.moduli
+    hits = []
+    for g in itertools.product(*[range(m) if m else scan for m in moduli]):
+        tile = {tuple((a + b) % m if m else a + b for a, b, m in zip(g, f, moduli)) for f in shape}
+        if tile & omega.coord_set and not tile <= omega.coord_set:
+            hits.append(g)
+    return tuple(hits)
+
+
 def disjoint_oracle(sets, eps):
     """Exact feasibility by forward DP over contested points.
 
@@ -102,6 +114,17 @@ def test_boundary_matches_scan_oracle():
         om = FiniteSubset.of(Z, rng.integers(0, 40, size=rng.integers(1, 15)))
         shape = FiniteSubset.of(Z, rng.integers(-3, 8, size=rng.integers(1, 5)))
         assert boundary(om, shape).elements == boundary_oracle_z(om, shape)
+    rng = rng_for(23, "boundary-oracle-products")
+    for spec in (Z2, GroupSpec((0, 3))):
+        for _ in range(20):
+            size = rng.integers(1, 12)
+            om = FiniteSubset.of(spec, [(int(a), int(b)) for a, b in rng.integers(0, 8, size=(size, 2))])
+            points = rng.integers(-3, 4, size=(rng.integers(1, 5), 2))
+            shape = FiniteSubset.of(spec, [(int(a), int(b)) for a, b in points])
+            expected = boundary_oracle(om, shape)
+            assert boundary(om, shape).elements == expected
+            packing = greedy_pack(om, shape)
+            assert packing.lower_bound == Fraction(len(om) - len(expected), len(shape) ** 2)
 
 
 def test_boundary_needs_nonempty_shape():
@@ -211,9 +234,10 @@ def test_packing_is_maximal():
     res = greedy_pack(box(Z2, 9, 9), shape)
     covered = res.covered.coord_set
     grp = res.window.group
-    from lpdim.tiling import _inside_translators, _tile_coords
+    from lpdim.groups import translators_inside
+    from lpdim.tiling import _tile_coords
 
-    for g in _inside_translators(res.window, shape):
+    for g in translators_inside(res.window, shape):
         if g not in res.centers.coord_set:
             assert _tile_coords(grp, g, shape) & covered
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lpdim import widths
-from lpdim._util import conjugate_exponent, lp_norm, numerical_rank, rng_for
+from lpdim._util import conjugate_exponent, lp_norm, matrix_rank, numerical_rank, rng_for
 from lpdim.errors import CapabilityError
 from lpdim.groups import FiniteSubset, GroupSpec, folner_window
 from lpdim.scenarios import near_dirac_translates
@@ -803,11 +803,14 @@ def test_numerical_rank_counts_above_the_relative_cutoff():
         mat = u[:, : s.size] @ np.diag(s) @ v[:, : s.size].T
         spectrum = np.linalg.svd(mat, compute_uv=False)
         assert numerical_rank(spectrum, mat.shape) == np.linalg.matrix_rank(mat)
+        assert matrix_rank(mat) == np.linalg.matrix_rank(mat)
+    for empty in (np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((0, 0))):
+        assert matrix_rank(empty) == 0
 
 
 def test_every_rank_decision_follows_the_one_tolerance(monkeypatch):
     """Coarsening numerical_rank moves every rank, basis, nullity and pivot test."""
-    from lpdim import spaces, widths
+    from lpdim import _util, spaces, widths
     from lpdim.spaces import _full_row_rank, _null_space
     from lpdim.widths import _orthonormal_span
 
@@ -832,7 +835,7 @@ def test_every_rank_decision_follows_the_one_tolerance(monkeypatch):
         return int(np.count_nonzero(s > 1e-4 * s[0])) if s.size and s[0] > 0.0 else 0
 
     assert decisions() == (2, 0, 2, 2, 0, True, True)
-    for module in (spaces, widths):
+    for module in (_util, spaces, widths):
         monkeypatch.setattr(module, "numerical_rank", coarse)
     assert decisions() == (1, 1, 1, 1, 1, False, False)
 
