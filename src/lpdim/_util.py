@@ -47,6 +47,31 @@ def lp_norm(x, p: float) -> float:
     return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
 
 
+def column_lp_norms(mat, p: float) -> np.ndarray:
+    """lp_norm of every column of a 2-D array, bit for bit.
+
+    lp_norm reduces a contiguous copy of its argument, so the columns are
+    laid out as contiguous rows first, 128 at a time to keep that copy
+    small: along those np.sum is pairwise as for one column, and the
+    stacked (1 x n)(n x 1) products at p = 2 run the same BLAS dot.  The
+    final root is taken per scalar, as lp_norm does.
+    """
+    mat = np.asarray(mat, dtype=float)
+    norms = np.empty(mat.shape[1])
+    for j in range(0, mat.shape[1], 128):
+        rows = np.ascontiguousarray(mat[:, j : j + 128].T)
+        if p == 2:
+            part = np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
+        elif math.isinf(p):
+            part = np.abs(rows).max(axis=1, initial=0.0)
+        elif p == 1:
+            part = np.abs(rows).sum(axis=1)
+        else:
+            part = [s ** (1.0 / p) for s in (np.abs(rows) ** p).sum(axis=1)]
+        norms[j : j + 128] = part
+    return norms
+
+
 def conjugate_exponent(p: float) -> float:
     """Holder conjugate: 1 <-> inf, otherwise p / (p - 1)."""
     if p == 1:

@@ -60,7 +60,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._util import check_exponent, lp_norm, matrix_rank, numerical_rank
+from ._util import check_exponent, column_lp_norms, lp_norm, matrix_rank, numerical_rank
 from .errors import CapabilityError, StructureError
 from .groups import (
     Coords,
@@ -583,7 +583,7 @@ def _genuine_model(
     canonical order.  Columns of norm at most 1e-14 are dropped and the rest
     are normalized or checked against the unit ball.
     """
-    norms = np.array([lp_norm(full[:, j], p) for j in range(full.shape[1])])
+    norms = column_lp_norms(full, p)
     keep = norms > 1e-14
     full, norms = full.compress(keep, axis=1), norms[keep]
     if normalize:

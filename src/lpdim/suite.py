@@ -361,8 +361,9 @@ def property_suite(config: Optional[dict] = None, seed: int = 0) -> SuiteReport:
                     int(c): rng.standard_normal(kernel.dim_in) for c in np.unique(support)
                 }
                 y = SupportedMap(_Z, kernel.dim_in, data)
+                image = convolve(kernel, y)
                 for p in (1.0, 1.5, 2.0, math.inf):
-                    lhs = convolve(kernel, y).norm(p)
+                    lhs = image.norm(p)
                     rhs = kernel.l1_norm * y.norm(p)
                     _require(lhs <= rhs + 1e-9, f"contraction failed at p={format_p(p)}")
                     if rhs > 0:
@@ -505,11 +506,14 @@ def property_suite(config: Optional[dict] = None, seed: int = 0) -> SuiteReport:
         for k in (6, 7, 8):
             _require(dirac_distance(k) < 0.05, f"distance at step {k} not below 0.05")
         rng = rng_for(seed, "suite", "dirac")
+        spikes = {}
+        for k in range(6, 10):
+            y = near_dirac_translates(k).generator
+            spikes[k] = y.scaled(1.0 / y.norm(1.0))
         worst = 0.0
         for _ in range(100):
             k = int(rng.integers(6, 10))
-            y = near_dirac_translates(k).generator
-            y = y.scaled(1.0 / y.norm(1.0))
+            y = spikes[k]
             eps_k = dirac_distance(k)
             alpha = SupportedMap(
                 _Z, 1, {int(c): rng.standard_normal() for c in rng.integers(-5, 15, size=6)}

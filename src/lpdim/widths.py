@@ -17,17 +17,26 @@ residual of the final lifts into the radius.
 An inner body is {M c : |F c|_2 <= 1}: the full matrix F lists the
 window's rows first, M is that leading block and E the tail of r
 off-window rows.  Every c with E c = 0 keeps its length, so at most r
-semiaxes differ from one; singular_profile factorises only E and the r
-boundary directions it picks out, never the whole window map, and r is the
-window's boundary layer.  The whitening W = L^-T comes from the Cholesky
-factor L of F^T F and is checked after the fact: eta bounds
-||(F W)^T (F W) - I||_2, the rounding of the products that measure it
-included, and every semiaxis is shrunk by it, so lower counts stay
-certified.  Only where Cholesky fails or eta >= 1 does the whitening fall
-back to eigh(F^T F), keeping eigenvalues above its own rounding level,
-(rows + columns) 2^-52 of the largest, so every kept direction, and with
-it every unit semiaxis, is genuine.  All of it is numpy: scipy is loaded
-only by the p = 1 LPs and the ball-cut nearest-point solver.
+semiaxes differ from one, and r is the window's boundary layer.  The
+squared semiaxes are the eigenvalues of the pencil (M^T M, G), G = F^T F,
+and singular_profile never factorises the whole window map.  Translate
+models have a banded G, and one of more than a few blocks of
+max(bandwidth, 32) columns is factored by a block-tridiagonal Cholesky:
+the r semiaxes below one are then sqrt(1 - mu), mu the eigenvalues of the
+r x r matrix E G^-1 E^T, each bounded from above by Weyl after the fact.
+That bound is the residual of the solve over sqrt(tau), with tau <=
+lambda_min(G) certified by a second, shifted factorisation whose own
+residual is bounded too, plus the rounding of every product; the other
+k - r semiaxes are exactly one.  Smaller or denser Grams are whitened by
+W = L^-T from the Cholesky factor L of F^T F, checked after the fact: eta
+bounds ||(F W)^T (F W) - I||_2, the rounding of the products that measure
+it included, and every semiaxis is shrunk by it.  Either way lower counts
+stay certified.  Only where a factorisation fails or its certificate does
+not hold does the whitening fall back to eigh(F^T F), keeping eigenvalues
+above its own rounding level, (rows + columns) 2^-52 of the largest, so
+every kept direction, and with it every unit semiaxis, is genuine.  All of
+it is numpy: scipy is loaded only by the p = 1 LPs and the ball-cut
+nearest-point solver.
 
 Every rank and nullity here is numerical_rank of a spectrum; the eigh
 cutoff is the one eigenvalue decision outside it.
@@ -43,7 +52,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -66,6 +75,15 @@ _LP_CLAMP_MAX_DIM = 256
 
 # unit roundoff of float64, 2^-53
 _UNIT = np.finfo(float).eps / 2.0
+
+# the banded pencil route of singular_profile factorises F^T F in blocks of
+# max(bandwidth, _BLOCK_FLOOR) columns; a Gram of at most _DENSE_BLOCKS such
+# blocks keeps the dense route, which is faster there
+_BLOCK_FLOOR = 32
+_DENSE_BLOCKS = 6
+
+# inverse iteration steps that estimate lambda_min(F^T F) for the shift
+_INVERSE_STEPS = 4
 
 
 def entrywise_norm(values: np.ndarray, p: float) -> float:
@@ -221,6 +239,230 @@ def _whitening(full: np.ndarray) -> tuple[np.ndarray, float]:
     return full @ _eigh_whitening(full), 0.0
 
 
+def _gamma(terms: int) -> float:
+    """(terms + 1) u: a sum of terms products errs by at most this times the
+    sum of their absolute values."""
+    return (terms + 1) * _UNIT
+
+
+class _BandGram(NamedTuple):
+    """F^T F as a block-tridiagonal matrix of blocks of m columns.
+
+    diag[i] is the symmetric block (i, i), sub[i] the block (i + 1, i); the
+    last block is padded with identity rows, which keeps every eigenvalue of
+    the Gram and adds only ones.  width is its bandwidth, so a row holds at
+    most 2 width + 1 nonzeros; err bounds ||fl(F^T F) - F^T F||_2 and
+    abs_norm bounds ||abs(fl(F^T F))||_2.
+    """
+
+    diag: np.ndarray
+    sub: np.ndarray
+    width: int
+    err: float
+    abs_norm: float
+
+
+def _band_gram(full: np.ndarray, floor: int, min_blocks: int = 1) -> Optional[_BandGram]:
+    """The Gram of F in blocks of m = max(bandwidth, floor) columns, or None
+    when that makes fewer than min_blocks blocks or F is zero.
+
+    The bandwidth is the widest column span of a row of F, and each entry
+    sums the products of nonzeros that share a row, at most t of them, t
+    the most nonzeros in a column.  So it errs by at most
+    gamma_t (abs(F)^T abs(F)), of 2-norm at most gamma_t ||F||_1 ||F||_inf.
+    """
+    n_rows, k = full.shape
+    if k <= (min_blocks - 1) * floor:
+        return None
+    nz = full != 0.0
+    # min_blocks blocks need m <= (k - 1) // (min_blocks - 1), so no row may
+    # hold more nonzeros than that plus one: a denser F is refused before
+    # its nonzeros are listed
+    if min_blocks > 1 and np.count_nonzero(nz) > n_rows * ((k - 1) // (min_blocks - 1) + 1):
+        return None
+    rows, cols = np.divmod(np.flatnonzero(nz), k)  # by row, then by column
+    del nz
+    if rows.size == 0:
+        return None
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    ends = np.append(starts[1:], rows.size) - 1
+    width = int(np.max(cols[ends] - cols[starts], initial=0))
+    m = max(width, floor)
+    nb = -(-k // m)
+    if nb < min_blocks:
+        return None
+    vals = full[rows, cols]
+    lo, hi, prods = [cols], [cols], [vals * vals]
+    for d in range(1, int(np.max(ends - starts, initial=0)) + 1):
+        same = rows[d:] == rows[:-d]
+        lo.append(cols[:-d][same])
+        hi.append(cols[d:][same])
+        prods.append(vals[:-d][same] * vals[d:][same])
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    # entry (hi, lo) of block row hi // m, its column lo in that block or the one before
+    flat = hi * (2 * m) + lo - (hi // m - 1) * m
+    blocks = np.bincount(flat, np.concatenate(prods), minlength=nb * m * 2 * m).reshape(nb, m, 2 * m)
+    diag, sub = blocks[:, :, m:].copy(), blocks[1:, :, :m].copy()
+    del blocks
+    diag += np.tril(diag, -1).swapaxes(1, 2)
+    diag.reshape(nb * m, m)[np.arange(k, nb * m), np.arange(k, nb * m) % m] = 1.0
+    absd, abss = np.abs(diag), np.abs(sub)
+    row_sums = absd.sum(axis=2)
+    row_sums[1:] += abss.sum(axis=2)
+    row_sums[:-1] += abss.sum(axis=1)
+    absf = np.abs(vals)
+    err = _gamma(int(np.bincount(cols).max(initial=0)))
+    err *= float(np.bincount(cols, absf).max(initial=0) * np.bincount(rows, absf).max(initial=0))
+    return _BandGram(diag, sub, width, err, float(row_sums.max()))
+
+
+def _row_terms(diag: np.ndarray, sub: np.ndarray) -> int:
+    """The most nonzeros in a row of the block-bidiagonal matrix with
+    diagonal blocks diag and blocks sub below them.  A zero entry adds an
+    exact zero to a product, so only these terms round."""
+    counts = np.count_nonzero(diag, axis=2)
+    counts[1:] += np.count_nonzero(sub, axis=2)
+    return int(counts.max())
+
+
+def _block_cholesky(diag: np.ndarray, sub: np.ndarray, width: int, invert: bool = True):
+    """Factor L L^T of the block-tridiagonal matrix (diag, sub) of bandwidth
+    width: the diagonal blocks of L, their inverses (None unless invert) and
+    the blocks L_{i+1, i}.
+
+    sub_i is zero outside its top-right width x width corner, and so is
+    L_{i+1, i} = sub_i L_ii^-T, into which only the trailing corner of
+    L_ii^-1 enters.  Raises LinAlgError where a pivot block is not positive
+    definite.
+    """
+    nb, m, _ = diag.shape
+    w = max(width, 1)
+    ldiag, lsub = np.empty_like(diag), np.zeros_like(sub)
+    linv = np.empty_like(diag) if invert else None
+    pivot = diag[0]
+    for i in range(nb):
+        ldiag[i] = np.linalg.cholesky(pivot)
+        if invert:
+            linv[i] = _lower_inverse(ldiag[i])
+        if i + 1 < nb:
+            corner = linv[i, m - w :, m - w :] if invert else _lower_inverse(ldiag[i, m - w :, m - w :])
+            lsub[i, :w, m - w :] = sub[i, :w, m - w :] @ corner.T
+            pivot = diag[i + 1] - lsub[i] @ lsub[i].T
+    return ldiag, linv, lsub
+
+
+def _block_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """(L L^T)^-1 rhs, rhs stacked as (blocks, m, columns)."""
+    _, linv, lsub = factor
+    z = np.empty_like(rhs)
+    z[0] = linv[0] @ rhs[0]
+    for i in range(1, rhs.shape[0]):
+        z[i] = linv[i] @ (rhs[i] - lsub[i - 1] @ z[i - 1])
+    z[-1] = linv[-1].T @ z[-1]
+    for i in range(rhs.shape[0] - 2, -1, -1):
+        z[i] = linv[i].T @ (z[i] - lsub[i].T @ z[i + 1])
+    return z
+
+
+def _gram_floor(gram: _BandGram, factor) -> float:
+    """tau <= lambda_min(F^T F), or a value <= 0 where none is certified.
+
+    A few steps of inverse iteration with the factor of fl(F^T F) estimate
+    its smallest eigenvalue; 1 / ||G^-1 x|| for unit x lies above it.  Half
+    that estimate is the shift s.  If the Cholesky factor L_s of
+    B = fl(fl(F^T F) - s I) exists, L_s L_s^T = B + D, so B is at least -||D||
+    (Rump, BIT 2006).  ||D|| is bounded after the fact: the computed
+    residual's Frobenius norm, plus gamma (abs(L_s) abs(L_s)^T + abs(B)),
+    gamma for the nonzeros of a row of L_s and B's entry.  The rounding of
+    B's diagonal and of the Gram itself come off too.
+    """
+    nb, m, _ = gram.diag.shape
+    x = rng_for(0, "inverse-iteration").standard_normal((nb, m, 1))
+    x /= np.linalg.norm(x)
+    for _ in range(_INVERSE_STEPS):
+        x = _block_solve(factor, x)
+        size = float(np.linalg.norm(x))
+        if not 0.0 < size < math.inf:
+            return 0.0
+        x /= size
+    shift = 0.5 / size
+    bdiag = gram.diag - shift * np.eye(m)
+    try:
+        ldiag, _, lsub = _block_cholesky(bdiag, gram.sub, gram.width, invert=False)
+    except np.linalg.LinAlgError:
+        return 0.0
+    resid_diag = ldiag @ ldiag.swapaxes(1, 2)
+    resid_diag -= bdiag
+    resid_diag[1:] += lsub @ lsub.swapaxes(1, 2)
+    resid_sub = lsub @ ldiag[:-1].swapaxes(1, 2)
+    resid_sub -= gram.sub
+    resid = math.hypot(np.linalg.norm(resid_diag), math.sqrt(2.0) * np.linalg.norm(resid_sub))
+    absl, abss = np.abs(ldiag), np.abs(lsub)
+    col_sums, row_sums = absl.sum(axis=1), absl.sum(axis=2)
+    col_sums[:-1] += abss.sum(axis=1)
+    row_sums[1:] += abss.sum(axis=2)
+    abs_b = gram.abs_norm + shift
+    terms = _row_terms(ldiag, lsub) + 1
+    resid_bound = resid * (1.0 + 3.0 * nb * m * m * _UNIT) + _gamma(terms) * (
+        float(col_sums.max()) * float(row_sums.max()) + abs_b
+    )
+    return (shift - resid_bound - _UNIT * abs_b - gram.err) * (1.0 - 4.0 * _UNIT)
+
+
+def _pencil_profile(model: WindowModel, gram: _BandGram) -> Optional[np.ndarray]:
+    """Inner semiaxes from the r x r matrix E G^-1 E^T, G = F^T F held as
+    gram, the banded Gram of model.full_matrix; None where nothing is certified.
+
+    The squared semiaxes are the eigenvalues of the pencil (M^T M, G) =
+    (G - E^T E, G).  Each c with E c = 0 is an eigenvector for 1, so k - r
+    of them are one and the other r are 1 - mu, mu the top eigenvalues of
+    S = E G^-1 E^T, 0 <= mu <= 1 as E^T E <= G.  Y solves G Y = E^T up to
+    the residual R = E^T - G Y, so S - E Y = E G^-1 R, of norm at most
+    ||R|| / sqrt(tau): ||E G^-1/2|| <= 1 and tau <= lambda_min(G) from
+    _gram_floor.  By Weyl each mu is at most the computed eigenvalue of
+    sym(fl(E Y)) plus that, plus the rounding of R (2 width + 2 terms an
+    entry), of G, of E Y, of the symmetrisation and of the r x r eigh.
+    Returns None when a factorisation fails or tau <= 0.
+    """
+    full = model.full_matrix
+    k = full.shape[1]
+    edge = full[model.ambient_dim :]
+    r = edge.shape[0]
+    nb, m, _ = gram.diag.shape
+    try:
+        factor = _block_cholesky(gram.diag, gram.sub, gram.width)
+    except np.linalg.LinAlgError:
+        return None
+    tau = _gram_floor(gram, factor)
+    if not tau > 0.0:  # False for NaN too
+        return None
+    if r == 0:
+        return np.ones(k)
+    rhs = np.zeros((nb * m, r))
+    rhs[:k] = edge.T
+    rhs = rhs.reshape(nb, m, r)
+    y = _block_solve(factor, rhs)
+    gy = gram.diag @ y
+    gy[1:] += gram.sub @ y[:-1]
+    gy[:-1] += gram.sub.swapaxes(1, 2) @ y[1:]
+    gy -= rhs
+    y = y.reshape(nb * m, r)[:k]
+    y_norm, edge_norm = float(np.linalg.norm(y)), float(np.linalg.norm(edge))
+    # covers the rounding of the norms and of the sums below
+    slack = 1.0 + (3 * nb * m * max(m, r) + 8) * _UNIT
+    resid = float(np.linalg.norm(gy)) + _gamma(2 * gram.width + 2) * (gram.abs_norm * y_norm + edge_norm)
+    resid += gram.err * y_norm
+    prod = edge @ y
+    sym = 0.5 * (prod + prod.T)
+    sym_norm = float(np.linalg.norm(sym))
+    nnz = int((edge != 0.0).sum(axis=1).max())
+    drift = resid * slack / math.sqrt(tau) + _gamma(nnz) * edge_norm * y_norm
+    drift = (drift + (_UNIT + (r + 1) * np.finfo(float).eps) * sym_norm) * slack
+    mu = np.linalg.eigvalsh(sym)[max(r - k, 0) :] + drift
+    s = np.sqrt(np.maximum(1.0 - mu, 0.0))
+    return np.concatenate([np.ones(k - s.size), s])
+
+
 def ellipsoid_map(model: WindowModel) -> np.ndarray:
     """Matrix B with {B u : |u|_2 <= 1} the model body in l2 terms.
 
@@ -240,14 +482,19 @@ def ellipsoid_map(model: WindowModel) -> np.ndarray:
 def singular_profile(model: WindowModel) -> np.ndarray:
     """Semiaxes of the model body seen through the l2 window, descending.
 
-    For inner models these are the singular values of B = M W, found from
-    the r off-window rows E of F alone.  F W is orthonormal, so
+    Outer and exact bodies are span cap ball, one unit semiaxis per rank.
+    An inner body's squared semiaxes are the eigenvalues of the pencil
+    (M^T M, F^T F), and only the r off-window rows E of F can make them
+    shorter than one.  Where F^T F forms more than _DENSE_BLOCKS blocks of
+    max(bandwidth, _BLOCK_FLOOR) columns, _pencil_profile reads them from
+    the r x r matrix E (F^T F)^-1 E^T with a certified bound, never forming
+    a k x k product.  Elsewhere, and where that certificate fails, they are
+    the singular values of B = M W for a whitening W.  F W is orthonormal, so
     B^T B = I - (E W)^T (E W): every direction with E W v = 0 is a semiaxis
     of exactly one, and only the r' = min(r, k') right singular directions V
     of E W can be shorter.  The profile is k' - r' ones plus the singular
     values of M W V, an n x r' map.  With r >= k' V spans everything, so V
-    is taken as the identity and this is the SVD of B itself.  Outer and
-    exact bodies are span cap ball, one unit semiaxis per rank.
+    is taken as the identity and this is the SVD of B itself.
 
     The squared semiaxes are the eigenvalues of the pencil
     ((M W)^T M W, (F W)^T F W).  With ||(F W)^T (F W) - I||_2 <= eta, its
@@ -258,7 +505,15 @@ def singular_profile(model: WindowModel) -> np.ndarray:
     """
     if model.polarity in ("outer", "exact"):
         return np.ones(_orthonormal_span(model.matrix).shape[1])
-    q, eta = _whitening(model.full_matrix)
+    full = model.full_matrix
+    gram = _band_gram(full, _BLOCK_FLOOR, _DENSE_BLOCKS + 1)
+    if gram is None:
+        q, eta = _whitening(full)
+    else:
+        s = _pencil_profile(model, gram)
+        if s is not None:
+            return s[s > COUNT_TOL]
+        q, eta = full @ _eigh_whitening(full), 0.0
     k_kept = q.shape[1]
     window, edge = q[: model.ambient_dim], q[model.ambient_dim :]
     if edge.shape[0] < k_kept:

@@ -814,6 +814,46 @@ def test_window_rows_lead_the_full_matrix(name):
         assert outer.full_support == omega.elements, p
 
 
+def test_column_norms_match_lp_norm_bit_for_bit(monkeypatch):
+    # inner models normalise their columns with column_lp_norms, which must
+    # equal one lp_norm per column exactly, so that no normalised column
+    # moves by a rounding step: on the registry, the benchmark ladder and
+    # dense random columns, whose sums depend on the summation order
+    from lpdim._util import column_lp_norms
+
+    seen = []
+    real = spaces._genuine_model
+
+    def spy(window, p, fiber, coords, full, normalize):
+        seen.append((p, full.copy()))
+        return real(window, p, fiber, coords, full, normalize)
+
+    monkeypatch.setattr(spaces, "_genuine_model", spy)
+    for scenario in REGISTRY.values():
+        spec = scenario.build()
+        for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+            inner_window_model(spec, folner_window(spec.group, scenario.windows[-1]), p)
+    z2 = GroupSpec.integer_lattice(2)
+    pair = ConvolutionKernel.of(Z, {0: [[1.3, 0.0]], 1: [[0.0, 0.7]]})
+    ladder = [
+        (ConvKernel(pair), Z, 512, 2.0),
+        (DirectSum(REGISTRY["conv_image"].build(), ConvKernel(pair)), Z, 512, 2.0),
+        (REGISTRY["conv_image"].build(), Z, 1024, 2.0),
+        (ConvImage(ConvolutionKernel.scalar(z2, {(0, 0): 1.3, (1, 0): -1.3})), z2, 32, 2.0),
+        (near_dirac_translates(6), Z, 256, 1.0),
+    ]
+    for spec, group, size, p in ladder:
+        inner_window_model(spec, folner_window(group, size), p)
+    assert len(seen) > 60
+    rng = rng_for(5, "column-norms")
+    for rows in (1, 7, 40, 300):
+        dense = rng.normal(size=(rows, 300)) * (rng.random((rows, 300)) < 0.7)
+        seen += [(p, dense) for p in (1.0, 1.5, 2.0, 3.0, math.inf)]
+    for p, full in seen:
+        want = np.array([lp_norm(full[:, j], p) for j in range(full.shape[1])])
+        assert np.array_equal(column_lp_norms(full, p), want), (p, full.shape)
+
+
 def _random_kernel(rng, group, d_in, d_out, points):
     entries = {tuple(int(x) for x in pt): rng.normal(size=(d_out, d_in)) for pt in points}
     return ConvolutionKernel.of(group, entries)

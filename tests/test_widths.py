@@ -168,18 +168,23 @@ def test_inner_profiles_never_exceed_one():
 
 
 def reference_profile(model):
-    """The whole whitened map's SVD: eigh of F^T F, B = M W, clip, filter.
+    """The whole whitened map's SVD: eigh of F^T F, Q = F W, B = M W, clip, filter.
 
     This is the route singular_profile took before it factorised only the
     off-window rows, with its eigenvalue cutoff of 1e-16 times the largest.
+    One Newton-Schulz step Q (3 I - Q^T Q) / 2 then makes Q orthonormal to
+    rounding level: eigh alone leaves ||Q^T Q - I|| near 2^-52 cond(F^T F),
+    about 1e-11 on a window of 1024, and that error would sit in every
+    semiaxis.  The step keeps the span of Q.
     """
     full = model.full_matrix
     if full.shape[1] == 0:
         return np.zeros(0)
     lam, vecs = np.linalg.eigh(full.T @ full)
     keep = lam > lam[-1] * 1e-16
-    whitened = model.matrix @ (vecs[:, keep] / np.sqrt(lam[keep]))
-    s = np.minimum(np.linalg.svd(whitened, compute_uv=False), 1.0)
+    q = full @ (vecs[:, keep] / np.sqrt(lam[keep]))
+    q = q @ (1.5 * np.eye(q.shape[1]) - 0.5 * (q.T @ q))
+    s = np.minimum(np.linalg.svd(q[: model.ambient_dim], compute_uv=False), 1.0)
     return s[s > 1e-9]
 
 
@@ -187,7 +192,9 @@ def boundary_rows(model):
     return model.full_matrix.shape[0] - model.matrix.shape[0]
 
 
-def test_boundary_profile_matches_the_whitened_map_svd():
+def boundary_cases():
+    """Inner models covering every boundary regime: r = 0, 0 < r < k' and
+    r >= k', on Z, Z^2 and Z/6, with gapped windows and composites."""
     z2 = GroupSpec.integer_lattice(2)
     c6 = GroupSpec.cyclic(6)
     rng = rng_for(8, "boundary-profile")
@@ -216,9 +223,12 @@ def test_boundary_profile_matches_the_whitened_map_svd():
         (Reduced(ConvImage(fiber_two), 2), FiniteSubset.of(Z, [0, 2, 5])),
     ]
     models = [inner_window_model(spec, omega, 2.0) for spec, omega in cases]
-    models += [ellipsoid_model(sig) for sig in ([0.9, 0.5, 0.2, 0.05], [1.0, 0.3, 0.0])]
+    return models + [ellipsoid_model(sig) for sig in ([0.9, 0.5, 0.2, 0.05], [1.0, 0.3, 0.0])]
+
+
+def test_boundary_profile_matches_the_whitened_map_svd():
     regimes = {"r = 0": 0, "0 < r < k'": 0, "r >= k'": 0}
-    for case, model in enumerate(models):
+    for case, model in enumerate(boundary_cases()):
         r = boundary_rows(model)
         k_kept = np.linalg.matrix_rank(model.full_matrix)
         regimes["r = 0" if r == 0 else "0 < r < k'" if r < k_kept else "r >= k'"] += 1
@@ -229,6 +239,108 @@ def test_boundary_profile_matches_the_whitened_map_svd():
         assert np.all(got <= want + 1e-12), case
         assert np.all(np.diff(got) <= 0.0)
     assert regimes == {"r = 0": 3, "0 < r < k'": 12, "r >= k'": 4}
+
+
+def assert_at_or_below(got, want, case, atol=1e-8):
+    """got is a certified profile of the body whose reference profile is
+    want: the same shape, within atol, never above it."""
+    assert got.shape == want.shape, case
+    assert np.all(got <= want + 1e-12), case
+    assert np.allclose(got, want, rtol=0.0, atol=atol), case
+    assert np.all(np.diff(got) <= 0.0), case
+
+
+def pencil(model, floor):
+    """The pencil route on the model's Gram in blocks of max(bandwidth, floor)."""
+    got = widths._pencil_profile(model, widths._band_gram(model.full_matrix, floor))
+    return None if got is None else got[got > widths.COUNT_TOL]
+
+
+def test_pencil_profile_matches_the_reference_on_every_boundary_case():
+    # floor 1 cuts every Gram into as many blocks as its bandwidth allows,
+    # floor k leaves one block; a rank-deficient F must certify nothing
+    certified = 0
+    for case, model in enumerate(boundary_cases()):
+        k = model.num_columns
+        if k == 0:
+            continue
+        want = reference_profile(model)
+        for floor in (1, 2, k):
+            got = pencil(model, floor)
+            if matrix_rank(model.full_matrix) < k:
+                assert got is None, case
+                continue
+            assert got is not None, case
+            assert_at_or_below(got, want, case)
+            certified += 1
+    assert certified == 3 * 14
+
+
+def ladder_models():
+    """The largest p = 2 windows of the benchmark ladder: difference images
+    on Z at 512 and 1024 and on Z^2 at 32 x 32, and the direct sum with the
+    1x2 kernel at 512."""
+    from lpdim.scenarios import REGISTRY, difference_kernel
+
+    z2 = GroupSpec.integer_lattice(2)
+    image2 = ConvolutionKernel.scalar(z2, {(0, 0): 1.3, (1, 0): -1.3})
+    return [
+        inner_window_model(ConvImage(difference_kernel()), folner_window(Z, 512), 2.0),
+        inner_window_model(ConvImage(difference_kernel()), folner_window(Z, 1024), 2.0),
+        inner_window_model(ConvImage(image2), folner_window(z2, 32), 2.0),
+        inner_window_model(REGISTRY["direct_sum"].build(), folner_window(Z, 512), 2.0),
+    ]
+
+
+def test_ladder_profiles_take_the_certified_pencil(monkeypatch):
+    routes = []
+    real = widths._pencil_profile
+
+    def spy(model, gram):
+        out = real(model, gram)
+        routes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(widths, "_pencil_profile", spy)
+    for case, model in enumerate(ladder_models()):
+        assert_at_or_below(singular_profile(model), reference_profile(model), case)
+    assert routes == [True] * 4
+
+
+def test_ill_conditioned_banded_grams_stay_below_the_reference():
+    # symbols 1 - 0.98 z and (1 - z)^2 nearly vanish on the unit circle, so
+    # lambda_min(F^T F) is 2.6e-4 and 1e-8 on 300 points; the pencil still
+    # certifies both, and its bound, 1 / sqrt(tau) times the residual, may
+    # cost the second up to 1e-6 but never lifts a semiaxis above the reference
+    for taps, atol in (({0: 1.0, 1: -0.98}, 1e-10), ({0: 1.0, 1: -2.0, 2: 1.0}, 1e-5)):
+        model = inner_window_model(ConvImage(ConvolutionKernel.scalar(Z, taps)), interval(0, 300), 2.0)
+        gram = widths._band_gram(model.full_matrix, widths._BLOCK_FLOOR, widths._DENSE_BLOCKS + 1)
+        got = widths._pencil_profile(model, gram)
+        assert got is not None, taps
+        assert np.array_equal(singular_profile(model), got[got > widths.COUNT_TOL])
+        assert_at_or_below(got[got > widths.COUNT_TOL], reference_profile(model), taps, atol)
+
+
+def test_a_failed_shift_certificate_falls_back_to_eigh(monkeypatch):
+    model = ladder_models()[0]
+    real_cholesky, real_eigh = widths._block_cholesky, widths._eigh_whitening
+    calls = []
+
+    def no_shifted_factor(diag, sub, width, invert=True):
+        if not invert:
+            raise np.linalg.LinAlgError("shifted Gram not positive definite")
+        return real_cholesky(diag, sub, width, invert)
+
+    def spy(full):
+        calls.append(full.shape)
+        return real_eigh(full)
+
+    monkeypatch.setattr(widths, "_block_cholesky", no_shifted_factor)
+    monkeypatch.setattr(widths, "_eigh_whitening", spy)
+    assert widths._pencil_profile(model, widths._band_gram(model.full_matrix, widths._BLOCK_FLOOR)) is None
+    got = singular_profile(model)
+    assert calls == [model.full_matrix.shape]
+    assert_at_or_below(got, reference_profile(model), "fallback", atol=1e-9)
 
 
 def test_whitening_drops_eigenvalues_below_their_rounding_level(monkeypatch):
@@ -299,7 +411,7 @@ def test_p2_grids_never_load_scipy():
         "import sys\n"
         "import lpdim\n"
         "from lpdim.scenarios import difference_kernel\n"
-        "lpdim.estimate_dimension(lpdim.ConvImage(difference_kernel()), 2.0, [64], [0.1])\n"
+        "lpdim.estimate_dimension(lpdim.ConvImage(difference_kernel()), 2.0, [64, 256], [0.1])\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     src = Path(widths.__file__).resolve().parents[1]
@@ -315,25 +427,38 @@ def test_p2_grids_never_load_scipy():
 
 
 def test_conv_image_profile_factorises_only_the_boundary(monkeypatch):
+    # window 1024 takes the banded pencil route: every factorisation is of
+    # one block or of the r x r boundary matrix, and nothing k x k is formed
+    import tracemalloc
+
     from lpdim.scenarios import REGISTRY
 
-    model = inner_window_model(REGISTRY["conv_image"].build(), folner_window(Z, 256), 2.0)
-    r = boundary_rows(model)
-    assert 0 < r <= 2 and model.num_columns > 250
+    model = inner_window_model(REGISTRY["conv_image"].build(), folner_window(Z, 1024), 2.0)
+    r, k = boundary_rows(model), model.num_columns
+    assert 0 < r <= 2 and k > 1000
     shapes = []
-    real_svd = np.linalg.svd
 
-    def spy(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return real_svd(a, *args, **kwargs)
+    def spy(name):
+        real = getattr(np.linalg, name)
 
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("the certified Cholesky whitening needs no eigh")
+        def wrapped(a, *args, **kwargs):
+            shapes.append((name, np.shape(a)))
+            return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    prof = singular_profile(model)
-    assert shapes and all(min(shape) <= r for shape in shapes), shapes
+        return wrapped
+
+    for name in ("svd", "eigh", "eigvalsh", "cholesky", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    tracemalloc.start()
+    try:
+        prof = singular_profile(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ("eigvalsh", (r, r)) in shapes
+    assert all(max(shape) <= widths._BLOCK_FLOOR for _, shape in shapes), shapes
+    # one k x k product, a Gram or a whitened map, would take 8 k^2 bytes
+    assert peak < 4 * k * k
     assert prof.size == model.matrix.shape[0]
 
 
