@@ -406,7 +406,7 @@ def build_Q(spec: SubspaceSpec, omega: FiniteSubset, p: float):
     if abs(np.vdot(star, y) - 1.0) > 1e-9:
         raise RuntimeError("norming functional failed to pair to one")
 
-    centers = greedy_pack(omega, core).centers.elements
+    centers = greedy_pack(omega, core).centers.array
     m = len(centers)
     pattern = list(zip(offsets, np.stack([star, y], axis=2)))
     _, translates = _placement(spec.group, centers, pattern, spec.fiber_dim)

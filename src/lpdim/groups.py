@@ -8,6 +8,12 @@ is lexicographic on coordinates, which is what every greedy scan in the
 tiling module relies on for determinism.  The translators of a shape that
 meet a window or fit inside it are enumerated here, for the tilings and the
 window models alike.
+
+Coordinate tuples are the API.  Internally the hot paths hold a set of
+elements as an (n, rank) int64 array, one row per element: FiniteSubset
+caches that view, reduce_array is the group law's reduction on it, and
+sort_rows puts rows in the canonical order, so translator sets and the
+translate layouts of the spaces module compose whole arrays at once.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import StructureError
 
@@ -65,6 +73,13 @@ class GroupSpec:
         out = tuple(int(c) % m if m else int(c) for c, m in zip(coords, self.moduli))
         return out
 
+    def reduce_array(self, coords: np.ndarray) -> np.ndarray:
+        """reduce along the last axis of an int64 array, in place; returns it."""
+        for axis, m in enumerate(self.moduli):
+            if m:
+                np.remainder(coords[..., axis], m, out=coords[..., axis])
+        return coords
+
     def check_coords(self, coords) -> Coords:
         coords = tuple(int(c) for c in coords)
         if len(coords) != self.rank:
@@ -100,19 +115,58 @@ def invert_coords(group: GroupSpec, a: Coords) -> Coords:
     return group.reduce(-x for x in a)
 
 
-def translator_sets(omega: FiniteSubset, shape) -> tuple[list[Coords], list[Coords]]:
-    """(omega . shape^-1, {gamma : gamma . shape inside omega}), canonical order.
+def as_coords(rows: np.ndarray) -> list[Coords]:
+    """The rows of an (n, rank) coordinate array as tuples of Python ints."""
+    return list(map(tuple, rows.tolist()))
+
+
+def coord_array(group: GroupSpec, coords) -> np.ndarray:
+    """Coordinate tuples (or an array of them) as an (n, rank) int64 array."""
+    return np.asarray(coords, dtype=np.int64).reshape(-1, group.rank)
+
+
+def sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, first, label) of the rows in canonical (lexicographic) order.
+
+    rows[order] is sorted; first marks each sorted row that differs from the
+    one before it, so rows[order][first] are the distinct rows, and label[i]
+    is the index of rows[i] among those distinct rows.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    label = np.empty(len(rows), dtype=np.intp)
+    label[order] = np.cumsum(first) - 1
+    return order, first, label
+
+
+def translator_arrays(omega: FiniteSubset, shape) -> tuple[np.ndarray, np.ndarray]:
+    """(omega . shape^-1, {gamma : gamma . shape inside omega}) as coordinate
+    arrays in canonical order.
 
     gamma . shape meets omega when gamma lies in some layer omega . s^-1, s in
-    the nonempty shape, and fits inside omega when it lies in every layer, so
-    one scan composing each (window point, shape point) pair once gives both.
+    the nonempty shape, and fits inside omega when it lies in every layer.
+    Each layer holds distinct elements, so gamma lies in all of them exactly
+    when it occurs once per layer: one sort of all layers gives both sets.
     """
     grp = omega.group
-    inverses = [invert_coords(grp, s) for s in shape]
-    if not inverses:
+    offsets = coord_array(grp, list(shape))
+    if not len(offsets):
         raise ValueError("translator sets need a nonempty shape")
-    layers = [{compose_coords(grp, w, t) for w in omega.elements} for t in inverses]
-    return sorted(set().union(*layers)), sorted(set.intersection(*layers))
+    layers = grp.reduce_array(omega.array[None, :, :] - offsets[:, None, :])
+    layers = layers.reshape(-1, grp.rank)
+    order, first, _ = sort_rows(layers)
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(layers))
+    meeting = layers[order[starts]]
+    return meeting, meeting[counts == len(offsets)]
+
+
+def translator_sets(omega: FiniteSubset, shape) -> tuple[list[Coords], list[Coords]]:
+    """translator_arrays as lists of coordinate tuples."""
+    meeting, inside = translator_arrays(omega, shape)
+    return as_coords(meeting), as_coords(inside)
 
 
 def translators_meeting(omega: FiniteSubset, shape) -> list[Coords]:
@@ -146,6 +200,13 @@ class FiniteSubset:
             else:
                 raise StructureError(f"cannot interpret {item!r} as an element")
         return FiniteSubset(group, tuple(sorted(coords)))
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The elements as a read-only (n, rank) int64 array, canonical order."""
+        rows = coord_array(self.group, self.elements)
+        rows.flags.writeable = False
+        return rows
 
     @cached_property
     def coord_set(self) -> frozenset:

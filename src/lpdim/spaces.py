@@ -66,10 +66,12 @@ from .groups import (
     Coords,
     FiniteSubset,
     GroupSpec,
+    as_coords,
     compose_coords,
+    coord_array,
     invert_coords,
-    translators_inside,
-    translators_meeting,
+    sort_rows,
+    translator_arrays,
 )
 
 _Z = GroupSpec.integer_lattice(1)
@@ -593,36 +595,43 @@ def _genuine_model(
     return WindowModel(window, p, fiber, "inner", full, tuple(coords))
 
 
-def _placement(grp: GroupSpec, sources, pattern, fiber: int, lead=()) -> tuple[list, np.ndarray]:
-    """(points, matrix) of the translates of one block pattern at sources.
+def _placement(grp: GroupSpec, sources, pattern, fiber: int, lead=()) -> tuple[np.ndarray, np.ndarray]:
+    """(extra, matrix) of the translates of one block pattern at sources.
 
     pattern lists (offset s, block) pairs, each block of shape (fiber, slots).
     The column for source gamma and slot v carries block[:, v] at gamma * s;
     columns run over sources in the given order with the slot fastest, and
-    each (source, offset) pair is composed once.  The points are lead, then
-    every other point where some column is nonzero, sorted; the matrix has
-    fiber rows per point, fiber slots fastest.
+    every (source, offset) pair is composed in one broadcast.  The rows are
+    lead's points, then extra, the coordinate array of every other point
+    where some column is nonzero, sorted; the matrix has fiber rows per
+    point, fiber slots fastest.
     """
-    slots = pattern[0][1].shape[1]
-    targets = [[compose_coords(grp, g, s) for g in sources] for s, _ in pattern]
-    points = list(lead) + sorted(set().union(*targets).difference(lead))
-    pos = {c: i for i, c in enumerate(points)}
-    cube = np.zeros((len(points), fiber, len(sources), slots))
-    src = np.arange(len(sources))
-    for (_, blk), tgt in zip(pattern, targets):
-        cube[np.asarray([pos[c] for c in tgt], dtype=int), :, src, :] = blk
-    live = np.any(cube != 0.0, axis=(1, 2, 3))
-    live[: len(lead)] = True
-    if not live.all():
-        cube, points = cube[live], [c for c, alive in zip(points, live) if alive]
-    return points, cube.reshape(len(points) * fiber, len(sources) * slots)
+    sources, lead = coord_array(grp, sources), coord_array(grp, lead)
+    offsets = coord_array(grp, [s for s, _ in pattern])
+    blocks = np.stack([blk for _, blk in pattern])
+    targets = grp.reduce_array(offsets[:, None, :] + sources[None, :, :])
+    points = np.concatenate([lead, targets.reshape(-1, grp.rank)])
+    order, first, label = sort_rows(points)
+    led, label = label[: len(lead)], label[len(lead) :].reshape(targets.shape[:2])
+    nonzero = np.any(blocks != 0.0, axis=(1, 2))
+    # distinct points off lead that some nonzero block lands on
+    off = np.zeros(np.count_nonzero(first), dtype=bool)
+    off[label[nonzero]] = True
+    off[led] = False
+    row = np.empty(len(off), dtype=np.intp)
+    row[led] = np.arange(len(lead))
+    row[off] = len(lead) + np.arange(np.count_nonzero(off))
+    cube = np.zeros((len(lead) + np.count_nonzero(off), fiber, len(sources), blocks.shape[2]))
+    cube[row[label[nonzero]], :, np.arange(len(sources)), :] = blocks[nonzero, None]
+    extra = points[order[first]][off]
+    return extra, cube.reshape(len(cube) * fiber, len(sources) * blocks.shape[2])
 
 
 def _translate_model(window: FiniteSubset, p, fiber, sources, pattern, normalize) -> WindowModel:
     """Inner model of the translates of one block pattern at sources, laid
     out by _placement with the window's points leading."""
-    points, full = _placement(window.group, sources, pattern, fiber, lead=window.elements)
-    return _genuine_model(window, p, fiber, points, full, normalize)
+    extra, full = _placement(window.group, sources, pattern, fiber, lead=window.array)
+    return _genuine_model(window, p, fiber, window.elements + tuple(as_coords(extra)), full, normalize)
 
 
 def _translate_span(omega, p, polarity, fiber, pattern) -> WindowModel:
@@ -631,7 +640,7 @@ def _translate_span(omega, p, polarity, fiber, pattern) -> WindowModel:
     The inner model holds them as genuine elements; the outer model is the
     span of their window restrictions.
     """
-    sources = translators_meeting(omega, [s for s, _ in pattern])
+    sources, _ = translator_arrays(omega, [s for s, _ in pattern])
     model = _translate_model(omega, p, fiber, sources, pattern, normalize=True)
     if polarity == "outer":
         return _window_ball(omega, p, fiber, "outer", model.matrix)
@@ -664,7 +673,7 @@ def _null_space(mat: np.ndarray, checked: bool = False) -> np.ndarray:
 def _conv_constraint_matrix(h: ConvolutionKernel, rows, cols: FiniteSubset) -> np.ndarray:
     """Matrix of the equations (h * y)(row) = 0 for y supported on cols:
     column (w, v) is the translate by w of h's slot v, read on rows."""
-    _, full = _placement(h.group, cols.elements, h.blocks, h.dim_out, lead=rows)
+    _, full = _placement(h.group, cols.array, h.blocks, h.dim_out, lead=rows)
     return full[: len(rows) * h.dim_out]
 
 
@@ -722,16 +731,16 @@ def _conv_kernel_inner(spec: ConvKernel, omega, p) -> WindowModel:
     if syzygy is not None:
         points = [c for (c,) in omega.elements]
         lo, hi = min(points) - syzygy[0][0][0], max(points) - syzygy[-1][0][0]
-        sources = [(t,) for t in range(lo, hi + 1)]
+        sources = np.arange(lo, hi + 1)
         return _translate_model(omega, p, h.dim_in, sources, syzygy, normalize=True)
-    rows = translators_meeting(omega, [invert_coords(h.group, c) for c, _ in h.blocks])
+    rows, _ = translator_arrays(omega, [invert_coords(h.group, c) for c, _ in h.blocks])
     basis = _null_space(_conv_constraint_matrix(h, rows, omega), checked=True)
     return _genuine_model(omega, p, h.dim_in, omega.elements, basis, normalize=True)
 
 
-def _interior_rows(h: ConvolutionKernel, omega: FiniteSubset) -> list[Coords]:
+def _interior_rows(h: ConvolutionKernel, omega: FiniteSubset) -> np.ndarray:
     """Points eta whose whole constraint (h * y)(eta) reads inside the window."""
-    return translators_inside(omega, [invert_coords(h.group, c) for c, _ in h.blocks])
+    return translator_arrays(omega, [invert_coords(h.group, c) for c, _ in h.blocks])[1]
 
 
 def _conv_kernel_outer(spec: ConvKernel, omega, p) -> WindowModel:

@@ -1,6 +1,11 @@
 """Group arithmetic, canonical windows, and the vanishing-boundary ladder."""
 
+import itertools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpdim._util import rng_for
 from lpdim.errors import StructureError
@@ -12,12 +17,15 @@ from lpdim.groups import (
     folner_window,
     invert_coords,
     parse_group,
+    translator_arrays,
+    translator_sets,
 )
 from lpdim.tiling import alpha_fraction
 
 Z = GroupSpec.integer_lattice(1)
 Z2 = GroupSpec.integer_lattice(2)
 C5 = GroupSpec.cyclic(5)
+C6 = GroupSpec.cyclic(6)
 ZxC3 = GroupSpec.product([Z, GroupSpec.cyclic(3)])
 
 ALL_SPECS = [Z, Z2, C5, ZxC3]
@@ -165,3 +173,50 @@ def test_constructor_validation():
         GroupSpec.cyclic(0)
     with pytest.raises(ValueError):
         GroupSpec.product([Z])
+
+
+@st.composite
+def windows_and_shapes(draw):
+    """A shifted box with gaps, and a shape of 1 to 5 offsets that may repeat,
+    miss the identity, be negative, or wrap around a cyclic axis."""
+    spec = draw(st.sampled_from([Z, Z2, C6, ZxC3]))
+    axes = [
+        range(start, start + (draw(st.integers(1, 5)) if m == 0 else m))
+        for m, start in zip(spec.moduli, draw(st.tuples(*[st.integers(-6, 6)] * spec.rank)))
+    ]
+    box = list(itertools.product(*axes))
+    keep = draw(st.lists(st.booleans(), min_size=len(box), max_size=len(box)))
+    points = [c for c, k in zip(box, keep) if k] or box[:1]
+    shape = draw(st.lists(st.tuples(*[st.integers(-8, 8)] * spec.rank), min_size=1, max_size=5))
+    return spec, FiniteSubset.of(spec, points), shape
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows_and_shapes())
+def test_translator_sets_match_the_definition(case):
+    """gamma is a meeting translator when gamma . S meets omega and an inside
+    one when gamma . S lies in omega, checked over every gamma near omega."""
+    spec, omega, shape = case
+    reach = max(abs(c) for s in shape for c in s) + 1
+    axes = [
+        range(min(w[i] for w in omega) - reach, max(w[i] for w in omega) + reach + 1)
+        if m == 0
+        else range(m)
+        for i, m in enumerate(spec.moduli)
+    ]
+    meeting, inside = [], []
+    for gamma in itertools.product(*axes):
+        hits = [compose_coords(spec, gamma, s) in omega for s in shape]
+        if any(hits):
+            meeting.append(gamma)
+        if all(hits):
+            inside.append(gamma)
+    assert translator_sets(omega, shape) == (meeting, inside)
+    for rows, want in zip(translator_arrays(omega, shape), (meeting, inside)):
+        assert rows.dtype == np.int64 and rows.shape == (len(want), spec.rank)
+    assert all(type(c) is int for gamma in meeting for c in gamma)
+
+
+def test_translator_sets_need_a_nonempty_shape():
+    with pytest.raises(ValueError):
+        translator_sets(folner_window(Z, 4), [])

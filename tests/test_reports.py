@@ -1,5 +1,5 @@
 """Byte pins of the `lpdim run --out` report for every registry scenario,
-and of the `lpdim verify --seed S --out` report for four suite seeds.
+and of the `lpdim verify --seed S --out` report for six suite seeds.
 
 A change that claims to keep reports byte-identical keeps these sha256
 prefixes.  The reports carry floats from dense factorisations, so a numpy
@@ -37,6 +37,8 @@ VERIFY_SHA256 = {
     5: "33efda8f8cf2",
     17: "0f64b2518425",
     40: "5cc2cc4e9b5b",
+    63: "548063536c75",
+    1205: "bbb64bab7202",
 }
 
 

@@ -13,6 +13,7 @@ from lpdim.errors import CapabilityError, StructureError
 from lpdim.groups import (
     FiniteSubset,
     GroupSpec,
+    as_coords,
     folner_window,
     invert_coords,
     translators_meeting,
@@ -580,7 +581,7 @@ def test_constraint_columns_match_the_convolve_reference():
             if all(grp.reduce(a - b for a, b in zip(eta, s)) in omega for s in support)
         ]
         assert inside
-        assert spaces._interior_rows(h, omega) == inside
+        assert as_coords(spaces._interior_rows(h, omega)) == inside
         for rows in (every_row, inside):
             mat = spaces._conv_constraint_matrix(h, rows, omega)
             assert mat.shape == (len(rows) * h.dim_out, len(omega) * h.dim_in)

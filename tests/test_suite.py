@@ -2,8 +2,16 @@
 
 import json
 
+import numpy as np
+
 import lpdim.suite as suite_mod
-from lpdim.suite import property_suite
+from lpdim._util import rng_for
+from lpdim.groups import GroupSpec
+from lpdim.scenarios import near_dirac_translates
+from lpdim.spaces import ConvolutionKernel, SupportedMap, convolve, pairing
+from lpdim.suite import _dirac_gap, property_suite
+
+Z = GroupSpec.integer_lattice(1)
 
 
 def test_report_schema_and_green_run():
@@ -58,3 +66,27 @@ def test_exceptions_become_failures_not_crashes(monkeypatch):
     failure = report.checks[0]
     assert failure.passed is False
     assert "RuntimeError" in failure.detail and "synthetic fault" in failure.detail
+
+
+def test_dense_dirac_gap_matches_the_convolution_reference():
+    """_dirac_gap is pairing(alpha, z * y) - pairing(alpha, z) through the
+    library's dict convolution, up to a few roundings of the terms summed."""
+    rng = rng_for(0, "test", "dirac-gap")
+    for _ in range(200):
+        k = int(rng.integers(6, 10))
+        y = near_dirac_translates(k).generator
+        y = y.scaled(1.0 / y.norm(1.0))
+        spike = np.concatenate([y.data[c] for c in y.support])
+        alpha = {int(c): rng.standard_normal() for c in rng.integers(-5, 15, size=6)}
+        z = {int(c): rng.standard_normal() for c in rng.integers(-10, 10, size=8)}
+        a, zmap = SupportedMap(Z, 1, alpha), SupportedMap(Z, 1, z)
+        want = pairing(a, convolve(ConvolutionKernel.scalar(Z, z), y)) - pairing(a, zmap)
+        # both pairings summed in absolute value scale every rounding in them;
+        # the two sides sum the same products in different orders
+        a_abs = SupportedMap(Z, 1, {c: abs(v) for c, v in alpha.items()})
+        z_abs = {c: abs(v) for c, v in z.items()}
+        scale = pairing(a_abs, convolve(ConvolutionKernel.scalar(Z, z_abs), y)) + pairing(
+            a_abs, SupportedMap(Z, 1, z_abs)
+        )
+        got = _dirac_gap(alpha, z, spike)
+        assert abs(got - want) <= 8 * np.finfo(float).eps * scale, (got, want, scale)

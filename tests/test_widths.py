@@ -1,5 +1,6 @@
 """Tests for width counts, brackets, duality maps, and the nearest-point solver."""
 
+import functools
 import math
 import os
 import subprocess
@@ -406,13 +407,15 @@ def test_a_spoiled_whitening_falls_back_to_eigh(monkeypatch):
     assert got.shape == want.shape and np.all(got <= want + 1e-12)
 
 
-def test_p2_grids_never_load_scipy():
+@functools.cache
+def p2_grid_modules() -> frozenset:
+    """The modules a p = 2 ConvImage grid leaves loaded in a fresh interpreter."""
     code = (
         "import sys\n"
         "import lpdim\n"
         "from lpdim.scenarios import difference_kernel\n"
         "lpdim.estimate_dimension(lpdim.ConvImage(difference_kernel()), 2.0, [64, 256], [0.1])\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print('\\n'.join(sys.modules))\n"
     )
     src = Path(widths.__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -423,7 +426,17 @@ def test_p2_grids_never_load_scipy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return frozenset(proc.stdout.split())
+
+
+def test_p2_grids_never_load_scipy():
+    assert sorted(m for m in p2_grid_modules() if m == "scipy" or m.startswith("scipy.")) == []
+
+
+def test_p2_grids_never_load_numpy_ma():
+    # np.unique without return_counts, np.setdiff1d and np.isin import
+    # numpy.ma on first use, which adds about 0.9 MB to the resident peak
+    assert sorted(m for m in p2_grid_modules() if m == "numpy.ma" or m.startswith("numpy.ma.")) == []
 
 
 def test_conv_image_profile_factorises_only_the_boundary(monkeypatch):
